@@ -42,11 +42,10 @@
 #include <vector>
 
 #include "arfs/avionics/uav_system.hpp"
-#include "arfs/bus/interface_unit.hpp"
-#include "arfs/bus/schedule.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/backend.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 #include "arfs/storage/durable/shipping.hpp"
 #include "arfs/storage/durable/wal_snapshot.hpp"
 #include "arfs/storage/stable_storage.hpp"
@@ -286,11 +285,11 @@ void report_crash_sweep() {
 // --- E15: replicated journal shipping ---
 
 void report_ship_vs_full_copy() {
-  // A standby replica is fed one shipping slot per commit (4 KB budget,
-  // the System default); at the relocation point the source syncs its
-  // boundary and the standby catches up. "warm" is what that catch-up
-  // still moved; "full" is what polling the whole encoded state — the only
-  // alternative — would have moved.
+  // A one-member replica cohort (the single warm standby) is fed one
+  // shipping slot per commit (4 KB budget, the System default); at the
+  // relocation point the source syncs its boundary and the standby catches
+  // up. "warm" is what that catch-up still moved; "full" is what polling
+  // the whole encoded state — the only alternative — would have moved.
   // The workload shape that matters: a state much larger than any one
   // frame's delta (4 keys of a rotating working set change per commit).
   // Relocating such a region cold moves the whole state; warm moves only
@@ -310,10 +309,8 @@ void report_ship_vs_full_copy() {
       options.sync = policy;
       auto engine = make_memory_engine(options);
       StableStorage store;
-      storage::durable::ShippedReplica replica;
-      bus::ShippingUnit unit(EndpointId{1}, *engine, replica);
-      bus::TdmaSchedule schedule;
-      schedule.add_ship_slot(EndpointId{1}, 100, 4096);
+      storage::durable::quorum::QuorumGroup standby(
+          *engine, storage::durable::quorum::QuorumOptions{.replicas = 1});
       for (std::size_t c = 0; c < kCommits; ++c) {
         // Commit 0 populates the whole state; later commits touch a small
         // rotating window.
@@ -327,10 +324,10 @@ void report_ship_vs_full_copy() {
         engine->record_commit(store, c);
         store.commit(c);
         engine->after_commit(store);
-        (void)unit.poll(schedule);
+        (void)standby.pump_member(0, /*budget=*/4096);
       }
       (void)engine->sync_now();  // the relocation's halt-boundary flush
-      const std::size_t warm = unit.catch_up();
+      const std::size_t warm = standby.catch_up_member(0);
       const std::uint64_t full =
           storage::durable::encoded_state_bytes(store);
       std::cout << std::left << std::setw(8) << keys << std::setw(14) << name
@@ -339,7 +336,7 @@ void report_ship_vs_full_copy() {
                 << std::setw(10) << std::setprecision(1)
                 << 100.0 * (1.0 - static_cast<double>(warm) /
                                       static_cast<double>(full))
-                << unit.stats().rebases << "\n";
+                << standby.stats().rebases << "\n";
       bench::trajectory().record(
           "ship_avoided/" + std::to_string(keys) + "keys/" + name,
           100.0 * (1.0 - static_cast<double>(warm) /

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "arfs/bus/interface_unit.hpp"
 #include "arfs/bus/schedule.hpp"
 #include "arfs/common/ids.hpp"
 #include "arfs/common/rng.hpp"
@@ -79,20 +78,18 @@ struct SystemOptions {
   bool durable_storage = false;
   /// Engine policy used when durable_storage is on.
   storage::durable::DurableOptions durability;
-  /// Ship every durable processor's journal to a warm-standby replica over
-  /// dedicated TDMA shipping slots, so region relocations move only the
-  /// un-shipped journal tail instead of the full encoded state. Requires
-  /// durable_storage.
+  /// Ship every durable processor's journal to a warm-standby replica
+  /// cohort (storage::durable::quorum::QuorumGroup) over dedicated TDMA
+  /// shipping slots, so region relocations move only the un-shipped journal
+  /// tail instead of the full encoded state. Requires durable_storage.
   bool journal_shipping = false;
-  /// Per-frame byte budget of each processor's shipping slot (the
+  /// Per-frame byte budget of each cohort member's shipping slot (the
   /// schedulable replication bandwidth; partial batches resume next frame).
   std::uint32_t ship_slot_bytes = 4096;
-  /// Quorum replication: 0 keeps the classic single warm standby per
-  /// processor; N >= 1 replaces it with an N-member quorum replica cohort
-  /// (storage::durable::quorum::QuorumGroup) fed over one dedicated TDMA
-  /// quorum slot per member, the durability boundary being the majority-
-  /// acknowledged commit id. N = 1 behaves byte-identically to the single
-  /// standby. Requires journal_shipping.
+  /// Members of each processor's replica cohort: max(1, quorum_replicas),
+  /// each fed over its own TDMA shipping slot, the durability boundary being
+  /// the majority-acknowledged commit id. 0 and 1 both mean the single warm
+  /// standby (a one-member cohort). Nonzero requires journal_shipping.
   std::uint32_t quorum_replicas = 0;
   /// Record the per-frame sys_trace (needed for get_reconfigs and the
   /// SP1-SP4 checkers). Disable only for unbounded benchmark runs.
@@ -123,7 +120,7 @@ struct SystemStats {
   std::uint64_t lossy_recoveries = 0;
 
   // --- journal shipping (journal_shipping option) ---
-  /// Shipping-slot polls across all channels and frames.
+  /// Shipping-slot polls across all cohort members and frames.
   std::uint64_t ship_slots_polled = 0;
   /// Journal bytes put on the bus by shipping: per-frame slots plus
   /// relocation catch-ups.
@@ -134,8 +131,8 @@ struct SystemStats {
   /// Region relocations served from a warm standby replica.
   std::uint64_t warm_relocations = 0;
   /// Region relocations that moved the source's full encoded state (no
-  /// shipping channel, the channel did not converge, or the replica
-  /// fingerprint disagreed).
+  /// shipping channel, or no cohort member mirrored the source's commit
+  /// boundary).
   std::uint64_t full_copy_relocations = 0;
   /// Encoded bytes those full copies moved.
   std::uint64_t full_copy_bytes = 0;
@@ -160,7 +157,7 @@ struct SystemStats {
 /// processors (volatile + committed stores, forked durability devices),
 /// environment and monitors, detection, SCRAM, applications (including
 /// their opaque domain words), region placement, fault-plan cursor,
-/// messaging, shipping replicas and units, trace, and statistics. The
+/// messaging, shipping replica cohorts, trace, and statistics. The
 /// configuration-time constants (spec, options, schedules, hooks, cached
 /// key strings) are deliberately absent: a checkpoint is restored into a
 /// System built by the same factory. Move-only — device forks are owned —
@@ -184,11 +181,6 @@ struct SystemCheckpoint {
   bool deadline_alarm_raised = false;
   std::uint64_t noise_rng_state = 0;
   std::optional<trace::SysTrace> trace;
-  struct ShipChannelCheckpoint {
-    storage::durable::ShippedReplica::Checkpoint replica;
-    bus::ShippingUnit::Checkpoint unit;
-  };
-  std::map<ProcessorId, ShipChannelCheckpoint> ship_channels;
   std::map<ProcessorId, storage::durable::quorum::QuorumGroup::Checkpoint>
       quorum_channels;
   SystemStats stats;
@@ -200,7 +192,7 @@ struct SystemCheckpoint {
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Spills every forked durable-device byte image this checkpoint holds
-  /// (processor engines, ship-channel replicas, quorum members) into
+  /// (processor engines and replica-cohort members) into
   /// CRC-guarded regions of `arena` — the byte mass of a durable mission's
   /// checkpoint, freed from the heap until the checkpoint is next restored
   /// (devices hydrate transparently). Returns bytes spilled. The arena must
@@ -266,36 +258,34 @@ class System {
 
   // --- journal shipping (journal_shipping option) ---
 
-  /// True when `p` has a replication channel — a single warm standby or a
-  /// quorum cohort (every durable processor does when the option is on).
+  /// True when `p`'s journal ships to a replica cohort (every durable
+  /// processor's does when the option is on).
   [[nodiscard]] bool has_ship_channel(ProcessorId p) const;
-  /// The warm-standby replica shadowing `p`'s durable store; in quorum mode,
-  /// the elected shipper-leader's replica. Precondition: has_ship_channel(p)
-  /// and, in quorum mode, at least one live member.
+  /// The elected shipper-leader's replica of `p`'s durable store.
+  /// Preconditions: has_ship_channel(p), at least one live member.
   [[nodiscard]] const storage::durable::ShippedReplica& ship_replica(
       ProcessorId p) const;
   struct ShipCatchUp {
     std::size_t bytes = 0;  ///< Journal bytes moved by the catch-up.
     bool reseeded = false;  ///< Cursor was lost; replica was full-copied.
   };
-  /// Drains `p`'s remaining shippable tail into its replica now (the same
-  /// catch-up a relocation performs), reseeding from a full copy if the
-  /// cursor was lost. In quorum mode every live member catches up (`bytes`
-  /// is the total moved; `reseeded` is true when any member reseeded).
+  /// Drains `p`'s remaining shippable tail into every live cohort member
+  /// now (the same catch-up a relocation performs: the source's boundary is
+  /// synced first), reseeding any member whose cursor was lost. `bytes` is
+  /// the total moved; `reseeded` is true when any member reseeded.
   /// Precondition: has_ship_channel(p).
   ShipCatchUp ship_catch_up(ProcessorId p);
 
   // --- quorum replication (quorum_replicas option) ---
 
-  /// True when `p`'s journal ships to a quorum replica cohort.
-  [[nodiscard]] bool has_quorum(ProcessorId p) const;
-  /// The cohort shadowing `p`'s durable store. Precondition: has_quorum(p).
+  /// The cohort shadowing `p`'s durable store.
+  /// Precondition: has_ship_channel(p).
   [[nodiscard]] const storage::durable::quorum::QuorumGroup& quorum_group(
       ProcessorId p) const;
   /// Fail-stops / repairs cohort member `member` of `p`'s quorum group.
   /// A transition that costs (restores) the live majority raises a
   /// kQuorumLost (kQuorumDurable) signal toward the SCRAM.
-  /// Preconditions: has_quorum(p), member < the cohort's member count.
+  /// Preconditions: has_ship_channel(p), member < the cohort's member count.
   void fail_quorum_member(ProcessorId p, std::uint32_t member);
   void repair_quorum_member(ProcessorId p, std::uint32_t member);
 
@@ -313,7 +303,6 @@ class System {
 
  private:
   class SystemPeerReader;
-  struct ShipChannel;
   struct QuorumChannel;
 
   void apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
@@ -328,18 +317,12 @@ class System {
   void relocate_region_if_needed(AppId app, ProcessorId to, Cycle cycle);
   void record_snapshot(Cycle cycle, SimTime frame_end);
   void publish_processor_factors(SimTime now);
-  /// One shipping slot per channel, in schedule order (end of every frame).
-  void pump_ship_channels();
-  /// Full-copy reseed of a channel whose replica cursor was lost.
-  void reseed_ship_channel(ProcessorId source, ShipChannel& channel);
-  /// One quorum ship slot per (cohort, member), in schedule order.
+  /// One shipping slot per (cohort, member), in schedule order (end of
+  /// every frame).
   void pump_quorum_channels();
   /// Full-copy reseed of one cohort member whose cursor was lost.
   void reseed_quorum_member(ProcessorId source, QuorumChannel& channel,
                             std::uint32_t member);
-  /// Relocation-grade catch-up of every live cohort member (syncs the
-  /// source's boundary first, reseeds lost cursors).
-  ShipCatchUp quorum_catch_up(ProcessorId source, QuorumChannel& channel);
 
   const ReconfigSpec& spec_;
   SystemOptions options_;
@@ -368,12 +351,8 @@ class System {
   Rng noise_rng_{9001};
   trace::SysTrace trace_;
   std::unique_ptr<SystemPeerReader> peer_reader_;
-  /// Warm-standby replication, keyed by source processor. The schedule
-  /// grants every channel one shipping slot per round (= per frame).
-  std::map<ProcessorId, std::unique_ptr<ShipChannel>> ship_channels_;
-  /// Quorum replica cohorts (quorum_replicas >= 1), keyed by source
-  /// processor; mutually exclusive with ship_channels_. Each member owns a
-  /// dedicated quorum slot in the schedule.
+  /// Replica cohorts (journal_shipping), keyed by source processor. Each
+  /// member owns one shipping slot per round (= per frame) in the schedule.
   std::map<ProcessorId, std::unique_ptr<QuorumChannel>> quorum_channels_;
   bus::TdmaSchedule ship_schedule_;
   SystemStats stats_;

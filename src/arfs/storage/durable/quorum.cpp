@@ -10,13 +10,11 @@ namespace arfs::storage::durable::quorum {
 namespace {
 
 /// Corrupt applies tolerated at one cursor position before concluding the
-/// source journal itself is damaged — the same constant as the
-/// single-standby ShippingUnit, so a one-member group escalates on exactly
-/// the same frame.
+/// source journal itself is damaged (transit faults clear on the first
+/// clean retransmission; a latent media fault never does).
 constexpr std::uint32_t kMaxCorruptRetries = 3;
 
-/// Whole records per catch-up step keep a member's pending buffer bounded
-/// (mirrors ShippingUnit::catch_up).
+/// Whole records per catch-up step keep a member's pending buffer bounded.
 constexpr std::size_t kCatchUpChunk = 64 * 1024;
 
 bool contains(const std::vector<MemberId>& ids, MemberId id) {

@@ -1,8 +1,7 @@
 // Quorum-replicated journal shipping: majority-ack durability over an
 // elected cohort of shipped replicas.
 //
-// JournalShipper/ShippedReplica stream one source WAL to exactly one
-// standby — itself a single point of failure during a relocation. A
+// JournalShipper/ShippedReplica stream one source WAL to one standby. A
 // QuorumGroup fans the same synced ARFSWAL2 stream out to N members, each
 // an independent ShippedReplica at its own cursor (the shipper is stateless
 // per cursor, so fan-out costs no source-side state), and tracks the
@@ -46,11 +45,11 @@ namespace arfs::storage::durable::quorum {
 using MemberId = std::uint32_t;
 
 struct QuorumOptions {
-  /// Initial cohort size. 1 degenerates to the single-standby protocol
-  /// (the commit boundary is then the lone member's cursor epoch).
+  /// Initial cohort size. 1 is the single warm standby (the commit boundary
+  /// is then the lone member's cursor epoch).
   std::uint32_t replicas = 3;
   /// Durability options of each member's own standby engine (every member
-  /// is itself durable, like the single-standby replica).
+  /// is itself durable).
   DurableOptions member_durability{};
 };
 
@@ -70,10 +69,10 @@ struct QuorumStats {
 };
 
 /// Fans one source engine's synced journal out to N ShippedReplica members
-/// and maintains the majority-acknowledged commit boundary. Shipping per
-/// member mirrors the single-standby ShippingUnit step for step (budgeted
-/// batches, in-slot rebase across compactions, corrupt-retry escalation to
-/// a full copy), so a one-member group is byte-identical to a ShippingUnit.
+/// and maintains the majority-acknowledged commit boundary. Each member is
+/// shipped in budgeted batches, with in-slot rebase across compactions and
+/// corrupt-retry escalation to a full copy. This is the only journal
+/// shipping path: a single warm standby is the one-member group.
 class QuorumGroup {
  public:
   /// `source` must outlive the group. Precondition: replicas >= 1.
@@ -204,13 +203,14 @@ class QuorumGroup {
     bool retired = false;
     bool needs_full_copy = false;
     bool warm_credit = true;
-    /// Consecutive corrupt applies at one cursor position — the same
-    /// media-fault escalation as the single-standby unit.
+    /// Consecutive corrupt applies at one cursor position: the source's
+    /// own journal bytes are bad (latent media fault without a crash), so
+    /// retransmission can never succeed — escalate to a full copy.
     std::uint32_t consecutive_corrupt = 0;
   };
 
-  /// Exact mirror of ShippingUnit::step for one member: one budgeted batch,
-  /// in-slot rebase, corrupt-retry escalation. Returns the bytes moved.
+  /// Ships one member at most one batch of up to `budget` bytes: in-slot
+  /// rebase, corrupt-retry escalation. Returns the bytes moved.
   std::size_t step_member(Member& m, std::size_t budget);
   /// Recomputes the commit boundary from the voter acks and completes an
   /// in-flight membership change when the new majority has caught up.

@@ -78,22 +78,18 @@ struct CrashSweepOptions {
   std::size_t tear_keep = 7;
 
   /// Also verify warm-start relocation at every crash point: after the
-  /// fail-stop, catch the victim's shipping channel up and assert the
-  /// standby replica's fingerprint is bit-identical to the recovered
-  /// commit-boundary fingerprint. The factory's mission must enable
-  /// SystemOptions::journal_shipping. When the mission replicates to a
-  /// quorum cohort (SystemOptions::quorum_replicas) the check reads the
-  /// elected shipper-leader's replica and additionally asserts the commit
-  /// rule: the cohort keeps a live majority and its majority-acknowledged
-  /// commit id equals the epoch the warm start served — at one replica this
-  /// degenerates to the single-standby check exactly, so N = 1 sweeps are
-  /// digest-identical to the single-standby oracle.
+  /// fail-stop, catch the victim's replica cohort up and assert the elected
+  /// shipper-leader's replica fingerprint is bit-identical to the recovered
+  /// commit-boundary fingerprint, and the commit rule: the cohort keeps a
+  /// live majority and its majority-acknowledged commit id equals the epoch
+  /// the warm start served (identically true for the one-member cohort).
+  /// The factory's mission must enable SystemOptions::journal_shipping.
   bool warm_start = false;
 
-  /// Quorum adversary (warm_start on a quorum mission only): at every crash
-  /// point, fail-stop this many cohort members — always the current elected
-  /// leader, re-electing between kills — before the catch-up runs. Must
-  /// leave a live majority (at most the minority of the cohort).
+  /// Quorum adversary (warm_start only): at every crash point, fail-stop
+  /// this many cohort members — always the current elected leader,
+  /// re-electing between kills — before the catch-up runs. Must leave a
+  /// live majority (at most the minority of the cohort).
   std::uint32_t quorum_kills = 0;
 
   /// O(F·K) strategy: fork each crash point from a stride-K baseline

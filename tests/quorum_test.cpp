@@ -9,10 +9,12 @@
 // signals, fault-plan routing, warm relocations served by surviving
 // members), and the crash-point sweep with the quorum adversary: the leader
 // fail-stops at every crash frame and the commit rule must still hold —
-// with the N = 1 cohort digest-identical to the single-standby oracle.
+// with the one-member cohort (quorum_replicas 0 or 1) reproducing the
+// pinned output of the retired single-standby implementation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -54,7 +56,7 @@ using support::synthetic_config;
 using support::synthetic_processor;
 
 /// A source store + engine pair driven through the real commit protocol
-/// (the same harness shipping_test uses for the single standby).
+/// (the same harness shipping_test uses).
 struct Source {
   StableStorage store;
   std::unique_ptr<DurabilityEngine> engine;
@@ -352,7 +354,7 @@ TEST(QuorumContract, PreconditionsAreEnforced) {
 // --- the assembled system ---
 
 /// Chain-spec mission with an N-member quorum cohort shadowing every
-/// durable processor (N = 0 keeps the classic single warm standby).
+/// durable processor (N = 0 and N = 1 both build the single warm standby).
 support::MissionFactory quorum_chain_factory(SyncPolicy policy,
                                              std::uint32_t replicas) {
   return [policy, replicas] {
@@ -424,6 +426,47 @@ std::vector<std::pair<std::string, SyncPolicy>> all_policies() {
           {"hybrid(4096,8)", SyncPolicy::hybrid(4096, 8)}};
 }
 
+/// 12-frame chain warm-start sweep report digests, one per policy in
+/// all_policies() order, recorded from the retired single-standby
+/// implementation, which a one-member cohort matched digest for digest.
+/// `clean` has no I/O fault; `bitflip` flips one durable journal bit at
+/// every crash point.
+struct PinnedSweep {
+  std::uint64_t clean;
+  std::uint64_t bitflip;
+};
+constexpr PinnedSweep kSingleStandbySweeps[] = {
+    {0xbb33ec5833c17a3bULL, 0x486bed07f1d40f7eULL},  // every-commit
+    {0x99493e1bca4f8d6fULL, 0xd0ca9ca775f43f67ULL},  // bytes(512)
+    {0xd25f15d0cfd2705aULL, 0xb3126fc04baf4ad9ULL},  // frames(4)
+    {0x99493e1bca4f8d6fULL, 0xd0ca9ca775f43f67ULL},  // hybrid(4096,8)
+};
+
+/// Runs the 12-frame chain warm-start sweep under every policy for
+/// quorum_replicas 0 and 1 and checks each report against its pin.
+void expect_single_standby_sweeps(CrashSweepOptions::IoFault fault) {
+  const auto policies = all_policies();
+  ASSERT_EQ(policies.size(), std::size(kSingleStandbySweeps));
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const auto& [name, policy] = policies[i];
+    const std::uint64_t pinned =
+        fault == CrashSweepOptions::IoFault::kBitFlip
+            ? kSingleStandbySweeps[i].bitflip
+            : kSingleStandbySweeps[i].clean;
+    for (const std::uint32_t replicas : {0u, 1u}) {
+      CrashSweepOptions options;
+      options.frames = 12;
+      options.victim = synthetic_processor(0);
+      options.warm_start = true;
+      options.io_fault = fault;
+      const CrashSweepReport report =
+          run_crash_sweep(quorum_chain_factory(policy, replicas), options);
+      EXPECT_TRUE(report.all_match()) << name << " N=" << replicas;
+      EXPECT_EQ(report.digest(), pinned) << name << " N=" << replicas;
+    }
+  }
+}
+
 TEST(QuorumSystem, QuorumReplicasRequiresJournalShipping) {
   const auto spec = support::make_chain_spec({});
   core::SystemOptions options;
@@ -433,34 +476,31 @@ TEST(QuorumSystem, QuorumReplicasRequiresJournalShipping) {
 }
 
 TEST(QuorumSystem, SingleMemberCohortShipsByteIdenticallyToSingleStandby) {
-  // N = 1 is the degenerate cohort: same slot budgets, same stream, same
-  // replica bytes — the quorum machinery must cost nothing it doesn't use.
-  const auto run_mission = [](std::uint32_t replicas) {
+  // The one-member cohort is the single warm standby: same slot budgets,
+  // same stream, same replica bytes as the retired single-standby
+  // implementation, whose output over this 12-frame mission is pinned
+  // below. quorum_replicas 0 and 1 must both reproduce it.
+  for (const std::uint32_t replicas : {0u, 1u}) {
     support::CrashMission m =
         quorum_chain_factory(SyncPolicy::frames(3), replicas)();
     m.system->run(12);
-    return m;
-  };
-  const support::CrashMission single = run_mission(0);
-  const support::CrashMission cohort = run_mission(1);
+    const core::System& system = *m.system;
 
-  const ProcessorId victim = synthetic_processor(0);
-  ASSERT_TRUE(single.system->has_ship_channel(victim));
-  ASSERT_TRUE(cohort.system->has_quorum(victim));
-  EXPECT_FALSE(single.system->has_quorum(victim));
-  EXPECT_EQ(single.system->stats().ship_bytes_total,
-            cohort.system->stats().ship_bytes_total);
-  EXPECT_EQ(single.system->stats().ship_slots_polled,
-            cohort.system->stats().ship_slots_polled);
-  EXPECT_EQ(single.system->ship_replica(victim).store().fingerprint(),
-            cohort.system->ship_replica(victim).store().fingerprint());
-  EXPECT_EQ(single.system->ship_replica(victim).cursor().offset,
-            cohort.system->ship_replica(victim).cursor().offset);
+    const ProcessorId victim = synthetic_processor(0);
+    ASSERT_TRUE(system.has_ship_channel(victim)) << replicas;
+    EXPECT_EQ(system.quorum_group(victim).member_count(), 1u) << replicas;
+    EXPECT_EQ(system.stats().ship_bytes_total, 1788u) << replicas;
+    EXPECT_EQ(system.stats().ship_slots_polled, 36u) << replicas;
+    EXPECT_EQ(system.ship_replica(victim).store().fingerprint(),
+              0x39a1d39deb6665d8ULL)
+        << replicas;
+    EXPECT_EQ(system.ship_replica(victim).cursor().offset, 200u) << replicas;
 
-  // At one member the commit id IS the lone cursor's epoch.
-  const QuorumGroup& group = cohort.system->quorum_group(victim);
-  EXPECT_EQ(group.commit_id(),
-            cohort.system->ship_replica(victim).cursor().epoch);
+    // At one member the commit id IS the lone cursor's epoch.
+    EXPECT_EQ(system.quorum_group(victim).commit_id(),
+              system.ship_replica(victim).cursor().epoch)
+        << replicas;
+  }
 }
 
 TEST(QuorumSystem, MajorityLossRaisesQuorumLostAndRepairRestoresIt) {
@@ -470,7 +510,7 @@ TEST(QuorumSystem, MajorityLossRaisesQuorumLostAndRepairRestoresIt) {
   system.run(4);
 
   const ProcessorId victim = synthetic_processor(0);
-  ASSERT_TRUE(system.has_quorum(victim));
+  ASSERT_TRUE(system.has_ship_channel(victim));
   ASSERT_EQ(system.quorum_group(victim).member_count(), 3u);
 
   // Losing one member keeps the majority quiet; losing the second raises
@@ -528,42 +568,17 @@ TEST(QuorumSystem, FaultPlanDrivesCohortFailuresAndRepairs) {
 // --- crash-point sweeps: the quorum adversary ---
 
 TEST(QuorumSweep, SingleMemberSweepIsDigestIdenticalToSingleStandbyOracle) {
-  // The acceptance anchor: at N = 1 the quorum path must reproduce the
+  // The acceptance anchor: the one-member cohort must reproduce the pinned
   // single-standby warm-start sweep bit for bit, under every sync policy.
-  for (const auto& [name, policy] : all_policies()) {
-    CrashSweepOptions options;
-    options.frames = 12;
-    options.victim = synthetic_processor(0);
-    options.warm_start = true;
-    const CrashSweepReport single =
-        run_crash_sweep(quorum_chain_factory(policy, 0), options);
-    const CrashSweepReport cohort =
-        run_crash_sweep(quorum_chain_factory(policy, 1), options);
-    EXPECT_TRUE(single.all_match()) << name;
-    EXPECT_TRUE(cohort.all_match()) << name;
-    EXPECT_EQ(single.digest(), cohort.digest()) << name;
-  }
+  expect_single_standby_sweeps(CrashSweepOptions::IoFault::kNone);
 }
 
 TEST(QuorumSweep, SingleMemberBitFlipSweepMatchesOracleThroughTheRebase) {
   // A flipped durable bit can force a lossy recovery: the source rewrites
   // history and the cohort must re-base its commit id onto the reseeded
-  // boundary instead of pinning the vanished epoch. At N = 1 this, too,
-  // must be digest-identical to the single-standby oracle.
-  for (const auto& [name, policy] : all_policies()) {
-    CrashSweepOptions options;
-    options.frames = 12;
-    options.victim = synthetic_processor(0);
-    options.warm_start = true;
-    options.io_fault = CrashSweepOptions::IoFault::kBitFlip;
-    const CrashSweepReport single =
-        run_crash_sweep(quorum_chain_factory(policy, 0), options);
-    const CrashSweepReport cohort =
-        run_crash_sweep(quorum_chain_factory(policy, 1), options);
-    EXPECT_TRUE(single.all_match()) << name;
-    EXPECT_TRUE(cohort.all_match()) << name;
-    EXPECT_EQ(single.digest(), cohort.digest()) << name;
-  }
+  // boundary instead of pinning the vanished epoch. This, too, must
+  // reproduce the pinned single-standby digests.
+  expect_single_standby_sweeps(CrashSweepOptions::IoFault::kBitFlip);
 }
 
 TEST(QuorumSweep, LeaderKillAtEveryCrashFrameHoldsTheCommitRule) {

@@ -6,8 +6,8 @@
 //                                           print SFTA phase tables and the
 //                                           SP1-SP4 report
 //   arfsctl sweep <spec> [--frames N] [--io-fault torn|bitflip] [--warm]
-//                 [--engine wal|mmap|lsm] [--adaptive]
-//                 [--checkpoint-stride K] [--json]
+//                 [--engine wal|mmap|lsm] [--adaptive] [--quorum N]
+//                 [--kill K] [--checkpoint-stride K] [--json]
 //                                           crash-point sweep: fail-stop the
 //                                           mission's durable victim at every
 //                                           frame and verify each recovery
@@ -81,13 +81,16 @@
 //   chain[:N]    an N-level degradation chain (default 4)
 //   random[:S]   a randomized specification from seed S (default 1)
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -119,6 +122,17 @@
 namespace {
 
 using namespace arfs;
+
+/// Parses a whole command-line number: decimal digits only (no sign,
+/// whitespace or suffix) that fit the destination type. Callers turn a
+/// false return into usage(), so malformed numbers exit 2.
+template <typename T>
+[[nodiscard]] bool parse_number(std::string_view text, T& out) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
+}
 
 int usage() {
   std::cerr
@@ -179,15 +193,17 @@ std::optional<SpecChoice> make_spec(const std::string& name) {
   }
   if (kind == "chain") {
     support::ChainSpecParams params;
-    if (!arg.empty()) params.configs = std::strtoul(arg.c_str(), nullptr, 10);
+    if (!arg.empty() && !parse_number(arg, params.configs)) {
+      return std::nullopt;
+    }
     if (params.configs < 2) params.configs = 4;
     choice.spec = support::make_chain_spec(params);
     return choice;
   }
   if (kind == "random") {
     support::RandomSpecParams params;
-    const std::uint64_t seed =
-        arg.empty() ? 1 : std::strtoull(arg.c_str(), nullptr, 10);
+    std::uint64_t seed = 1;
+    if (!arg.empty() && !parse_number(arg, seed)) return std::nullopt;
     choice.spec = support::make_random_spec(params, seed);
     return choice;
   }
@@ -1146,8 +1162,14 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "economics") {
       if (argc != 5) return usage();
-      return cmd_economics(std::atoi(argv[2]), std::atoi(argv[3]),
-                           std::atoi(argv[4]));
+      int full = 0;
+      int safe = 0;
+      int failures = 0;
+      if (!parse_number(argv[2], full) || !parse_number(argv[3], safe) ||
+          !parse_number(argv[4], failures)) {
+        return usage();
+      }
+      return cmd_economics(full, safe, failures);
     }
 
     if (cmd == "journal") {
@@ -1161,10 +1183,12 @@ int main(int argc, char** argv) {
         return cmd_journal_repair(path, dry_run);
       }
       if (sub == "demo") {
-        const Cycle commits =
-            argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 16;
-        const std::uint64_t seed =
-            argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+        Cycle commits = 16;
+        std::uint64_t seed = 1;
+        if ((argc > 4 && !parse_number(argv[4], commits)) ||
+            (argc > 5 && !parse_number(argv[5], seed))) {
+          return usage();
+        }
         return cmd_journal_demo(path, commits, seed);
       }
       if (sub == "stats") {
@@ -1176,7 +1200,9 @@ int main(int argc, char** argv) {
         std::optional<std::uint64_t> cursor;
         if (argc > 5) {
           if (argc != 7 || std::string(argv[5]) != "--cursor") return usage();
-          cursor = std::strtoull(argv[6], nullptr, 10);
+          std::uint64_t offset = 0;
+          if (!parse_number(argv[6], offset)) return usage();
+          cursor = offset;
         }
         return cmd_journal_ship(path, argv[4], cursor);
       }
@@ -1213,7 +1239,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--frames" && i + 1 < argc) {
-          frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], frames)) return usage();
         } else if (arg == "--json") {
           json = true;
         } else {
@@ -1240,16 +1266,17 @@ int main(int argc, char** argv) {
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--replicas" && i + 1 < argc) {
-          replicas = std::strtoul(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], replicas)) return usage();
         } else if (arg == "--frames" && i + 1 < argc) {
-          frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], frames)) return usage();
         } else if (arg == "--kill" && i + 1 < argc) {
-          kills = std::strtoul(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], kills)) return usage();
         } else {
           return usage();
         }
       }
-      if (replicas == 0 || frames == 0) return usage();
+      // Killing every member would leave no leader to serve the demo.
+      if (replicas == 0 || frames == 0 || kills >= replicas) return usage();
       return cmd_quorum(sub == "demo", spec_name, choice->is_uav, replicas,
                         frames, kills);
     }
@@ -1276,22 +1303,24 @@ int main(int argc, char** argv) {
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sessions" && cmd == "serve" && i + 1 < argc) {
-          sessions = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], sessions)) return usage();
         } else if (arg == "--frames" && i + 1 < argc) {
-          options.frame_budget = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.frame_budget)) return usage();
         } else if (arg == "--warmup" && i + 1 < argc) {
-          options.warmup_frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.warmup_frames)) return usage();
         } else if (arg == "--seed" && i + 1 < argc) {
-          options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.base_seed)) return usage();
         } else if (arg == "--slots" && i + 1 < argc) {
-          options.ring_slot_count =
-              static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+          if (!parse_number(argv[++i], options.ring_slot_count)) {
+            return usage();
+          }
         } else if (arg == "--watermark" && cmd == "session" && i + 1 < argc) {
-          options.ring_reclaim_watermark =
-              std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.ring_reclaim_watermark)) {
+            return usage();
+          }
         } else if (arg == "--timeout-ms" && cmd == "session" &&
                    i + 1 < argc) {
-          timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], timeout_ms)) return usage();
         } else if (arg == "--transport" && cmd == "serve" && i + 1 < argc) {
           const std::string t = argv[++i];
           if (t == "shm") {
@@ -1320,7 +1349,7 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--timeout-ms" && i + 1 < argc) {
-          timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], timeout_ms)) return usage();
         } else {
           return usage();
         }
@@ -1338,10 +1367,12 @@ int main(int argc, char** argv) {
       return cmd_certify(*choice, json);
     }
     if (cmd == "simulate") {
-      const Cycle frames = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                    : 400;
-      const std::uint64_t seed =
-          argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+      Cycle frames = 400;
+      std::uint64_t seed = 1;
+      if ((argc > 3 && !parse_number(argv[3], frames)) ||
+          (argc > 4 && !parse_number(argv[4], seed))) {
+        return usage();
+      }
       return cmd_simulate(*choice, frames, seed);
     }
     if (cmd == "sweep") {
@@ -1356,7 +1387,7 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--frames" && i + 1 < argc) {
-          options.frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.frames)) return usage();
         } else if (arg == "--engine" && i + 1 < argc) {
           if (!storage::durable::parse_engine_kind(argv[++i], engine)) {
             return usage();
@@ -1364,10 +1395,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--quorum" && i + 1 < argc) {
-          quorum_replicas = std::strtoul(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], quorum_replicas)) return usage();
           options.warm_start = true;  // the cohort IS the warm standby
         } else if (arg == "--kill" && i + 1 < argc) {
-          options.quorum_kills = std::strtoul(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.quorum_kills)) return usage();
         } else if (arg == "--io-fault" && i + 1 < argc) {
           const std::string fault = argv[++i];
           if (fault == "torn") {
@@ -1380,7 +1411,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--warm") {
           options.warm_start = true;
         } else if (arg == "--checkpoint-stride" && i + 1 < argc) {
-          options.checkpoint_stride = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.checkpoint_stride)) {
+            return usage();
+          }
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
         } else if (arg == "--json") {
@@ -1390,7 +1423,11 @@ int main(int argc, char** argv) {
         }
       }
       if (options.frames == 0) return usage();
-      if (options.quorum_kills > 0 && quorum_replicas == 0) return usage();
+      // The cohort has max(1, --quorum) members; at least one must survive
+      // the kills to serve the warm start.
+      if (options.quorum_kills >= std::max<std::uint32_t>(1, quorum_replicas)) {
+        return usage();
+      }
       return cmd_sweep(argv[2], choice->is_uav, options, quorum_replicas,
                        arena_path, engine, adaptive, json);
     }
@@ -1406,23 +1443,23 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--samples" && i + 1 < argc) {
-          options.samples = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.samples)) return usage();
         } else if (arg == "--frames" && i + 1 < argc) {
-          options.frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.frames)) return usage();
         } else if (arg == "--warmup" && i + 1 < argc) {
-          options.warmup_frames = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.warmup_frames)) return usage();
         } else if (arg == "--shards" && i + 1 < argc) {
-          engine.shards = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], engine.shards)) return usage();
         } else if (arg == "--threads" && i + 1 < argc) {
-          engine.threads = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], engine.threads)) return usage();
         } else if (arg == "--seed" && i + 1 < argc) {
-          options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.base_seed)) return usage();
         } else if (arg == "--no-pool") {
           options.pool_systems = false;
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
         } else if (arg == "--pool-hot" && i + 1 < argc) {
-          options.pool_hot_limit = std::strtoull(argv[++i], nullptr, 10);
+          if (!parse_number(argv[++i], options.pool_hot_limit)) return usage();
         } else if (arg == "--json") {
           if (i + 1 < argc && argv[i + 1][0] != '-') {
             json_path = argv[++i];
