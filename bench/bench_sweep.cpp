@@ -14,6 +14,9 @@
 //      and lsm durable engines — wall time per engine, with every report
 //      digest checked bit-identical against the wal oracle (the E20
 //      cross-engine recovery contract, timed).
+//   4. Realistic sizes, checkpointed only (the oracle would replay
+//      F·(F+1)/2 frames): wall time and the process's peak RSS (VmHWM)
+//      after each cell at F=1024 and F=4096.
 // Both tables check the checkpointed report's digest against the
 // from-scratch oracle where the oracle is run.
 //
@@ -198,12 +201,49 @@ void report_engine_dimension() {
   }
 }
 
+void report_realistic_sizes() {
+  // VmHWM is never reset (no /proc/self/clear_refs write), so each reading
+  // is the peak of the whole process so far; the cells run in increasing F
+  // after the smaller tables, so each reading is that cell's own peak
+  // whenever it exceeds everything before it.
+  const support::MissionFactory factory =
+      sweep_factory(SyncPolicy::frames(4));
+  std::cout << "\nRealistic sizes (checkpointed only, frames(4) policy, "
+               "stride auto-tuned; VmHWM read after each cell)\n";
+  std::cout << std::left << std::setw(8) << "F" << std::setw(8) << "K"
+            << std::setw(12) << "frames" << std::setw(8) << "ckpts"
+            << std::setw(12) << "ms" << std::setw(12) << "VmHWM-MiB"
+            << "mismatches\n";
+  for (const Cycle frames : {Cycle{1024}, Cycle{4096}}) {
+    const auto start = std::chrono::steady_clock::now();
+    const support::CrashSweepReport report =
+        support::run_crash_sweep(factory, sweep_options(frames, true));
+    const double ms = wall_ms(start);
+    const double peak_mib =
+        static_cast<double>(bench::peak_rss_kib()) / 1024.0;
+    std::cout << std::left << std::setw(8) << frames << std::setw(8)
+              << report.stride_used << std::setw(12)
+              << report.simulated_frames << std::setw(8)
+              << report.checkpoints_taken << std::fixed
+              << std::setprecision(1) << std::setw(12) << ms << std::setw(12)
+              << peak_mib << report.mismatches << "\n";
+    const std::string f = std::to_string(frames);
+    bench::trajectory().record("sweep/F" + f + "/wall_checkpointed", ms,
+                               "ms");
+    bench::trajectory().record("sweep/F" + f + "/peak_rss", peak_mib, "MiB");
+    bench::trajectory().record("sweep/F" + f + "/mismatches",
+                               static_cast<double>(report.mismatches),
+                               "count");
+  }
+}
+
 void report() {
   bench::banner("E16: checkpointed crash-point sweep",
                 "the O(F²) → O(F·K) sweep reduction");
   report_scaling();
   report_stride_curve();
   report_engine_dimension();
+  report_realistic_sizes();
   std::cout << "\n";
 }
 

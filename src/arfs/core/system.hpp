@@ -92,7 +92,10 @@ struct SystemOptions {
   /// standby (a one-member cohort). Nonzero requires journal_shipping.
   std::uint32_t quorum_replicas = 0;
   /// Record the per-frame sys_trace (needed for get_reconfigs and the
-  /// SP1-SP4 checkers). Disable only for unbounded benchmark runs.
+  /// SP1-SP4 checkers). The trace grows by one state per frame and every
+  /// checkpoint()/restore() copies it whole, so disable it wherever nothing
+  /// reads it: unbounded benchmark runs, and the crash-sweep probes
+  /// (System::set_record_trace), whose verdicts read only stable storage.
   bool record_trace = true;
 };
 
@@ -151,6 +154,8 @@ struct SystemStats {
   /// restorations raised kQuorumDurable.
   std::uint64_t quorum_losses = 0;
   std::uint64_t quorum_restores = 0;
+
+  bool operator==(const SystemStats&) const = default;
 };
 
 /// Frozen image of every piece of mutable state a mission touches: clock,
@@ -236,6 +241,12 @@ class System {
 
   /// Sets an environmental factor immediately (programmatic trigger).
   void set_factor(FactorId factor, std::int64_t value);
+
+  /// Applies SystemOptions::record_trace after construction. Off stops
+  /// appending and keeps what was already recorded. Turning it back on
+  /// requires the trace to hold every frame run so far: trace cycles are
+  /// contiguous from 0, so the next frame's append fails otherwise.
+  void set_record_trace(bool on) { options_.record_trace = on; }
 
   // --- observers ---
   [[nodiscard]] const trace::SysTrace& trace() const { return trace_; }

@@ -1,5 +1,6 @@
 #include "arfs/storage/durable/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "arfs/storage/durable/journal.hpp"
@@ -43,9 +44,14 @@ std::uint32_t get_u32(const std::uint8_t* p) {
   return v;
 }
 
-}  // namespace
+/// Smallest encoded entry: u32 key length, bool tag + byte, u64
+/// committed_at. Bounds the entry count a CRC-valid payload can claim.
+constexpr std::size_t kMinEntryBytes = 4 + 2 + 8;
 
-SnapshotScan scan_snapshots(const JournalBackend& backend) {
+/// The image walk behind scan_snapshots (`decode`: every image's entries
+/// are built, the last one kept) and skim_snapshots (entries are skipped).
+/// Both validate each image identically.
+SnapshotScan walk_snapshots(const JournalBackend& backend, bool decode) {
   SnapshotScan result;
   const std::uint64_t total = backend.size();
   if (total == 0) {
@@ -94,8 +100,17 @@ SnapshotScan scan_snapshots(const JournalBackend& backend) {
     image.offset = offset;
     image.epoch = reader.u64();
     const std::uint64_t n = reader.u64();
-    image.entries.reserve(static_cast<std::size_t>(n));
+    if (decode) {
+      image.entries.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, len / kMinEntryBytes)));
+    }
     for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
+      if (!decode) {
+        reader.skip_string();
+        reader.skip_value();
+        (void)reader.u64();
+        continue;
+      }
       std::string key = reader.string();
       Value value = reader.value();
       const Cycle committed_at = reader.u64();
@@ -110,11 +125,21 @@ SnapshotScan scan_snapshots(const JournalBackend& backend) {
     result.image_offsets.push_back(offset);
     offset += 8 + len;
     result.valid_bytes = offset;
-    result.last = std::move(image);
+    if (decode) result.last = std::move(image);
     result.any_valid = true;
     ++result.images;
   }
   return result;
+}
+
+}  // namespace
+
+SnapshotScan scan_snapshots(const JournalBackend& backend) {
+  return walk_snapshots(backend, /*decode=*/true);
+}
+
+SnapshotScan skim_snapshots(const JournalBackend& backend) {
+  return walk_snapshots(backend, /*decode=*/false);
 }
 
 }  // namespace arfs::storage::durable

@@ -60,4 +60,12 @@ bool append_snapshot(JournalBackend& backend, std::uint64_t epoch,
 /// never fatal.
 [[nodiscard]] SnapshotScan scan_snapshots(const JournalBackend& backend);
 
+/// The same validation as scan_snapshots — envelope, length, CRC and
+/// payload structure of every image, so `images`, `image_offsets`,
+/// `valid_bytes`, `truncated` and `reason` agree with it — but no image is
+/// decoded: `last` stays empty and `any_valid` reports only whether an image
+/// was found. For callers that need the image layout, not the entries
+/// (snapshot GC).
+[[nodiscard]] SnapshotScan skim_snapshots(const JournalBackend& backend);
+
 }  // namespace arfs::storage::durable

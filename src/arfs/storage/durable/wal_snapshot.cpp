@@ -33,7 +33,7 @@ SnapshotScan WalSnapshotEngine::scan_state() {
 }
 
 void WalSnapshotEngine::gc_state() {
-  const SnapshotScan snap = scan_snapshots(*snapshots_);
+  const SnapshotScan snap = skim_snapshots(*snapshots_);
   if (snap.truncated || snap.images <= kGcKeepImages) return;
   const std::uint64_t keep_from =
       snap.image_offsets[snap.images - kGcKeepImages];

@@ -3,8 +3,9 @@
 // The state device is an append-only log of full committed-store images
 // (magic "ARFSSNP1"; snapshot.hpp): persist_state appends one image and
 // syncs it, gc_state keeps the newest two images (the current one plus its
-// predecessor as the torn-image fallback), and scan_state is a plain
-// scan_snapshots. Everything else — journal, sync policy, adaptive
+// predecessor as the torn-image fallback; it locates them with
+// skim_snapshots, which validates without decoding), and scan_state is a
+// plain scan_snapshots. Everything else — journal, sync policy, adaptive
 // watermarks, shipping, checkpointing, recovery — is the shared
 // StorageEngine base.
 #pragma once

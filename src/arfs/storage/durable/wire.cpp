@@ -180,6 +180,22 @@ std::string ByteReader::string() {
   return s;
 }
 
+void ByteReader::skip_string() {
+  const std::uint32_t n = u32();
+  if (take(n)) pos_ += n;
+}
+
+void ByteReader::skip_value() {
+  switch (u8()) {
+    case kTagBool:   (void)u8(); return;
+    case kTagInt64:
+    case kTagDouble: (void)u64(); return;
+    case kTagString: skip_string(); return;
+    default:
+      ok_ = false;
+  }
+}
+
 Value ByteReader::value() {
   switch (u8()) {
     case kTagBool:   return Value{u8() != 0};

@@ -61,6 +61,10 @@ class ByteReader {
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::string string();
   [[nodiscard]] Value value();
+  /// Consume exactly what string() / value() would, with the same bounds
+  /// and tag checks, without building the result (no allocation).
+  void skip_string();
+  void skip_value();
 
   [[nodiscard]] bool ok() const { return ok_; }
   /// True when every byte was consumed and no read failed.

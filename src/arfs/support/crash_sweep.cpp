@@ -137,6 +137,7 @@ std::vector<CrashPoint> sweep_from_scratch(const MissionFactory& factory,
         CrashMission mission = factory();
         require(mission.system != nullptr, "mission factory built no system");
         core::System& system = *mission.system;
+        system.set_record_trace(false);
         require(system.processors().has_processor(options.victim),
                 "crash sweep victim is not in the system");
 
@@ -199,9 +200,11 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     // index 0 = empty pre-mission store) and freezing a whole-system
     // checkpoint every `stride` frames. Checkpoints fork the durable
     // devices, so later restores are copy-on-restore — no mission replay.
+    // The baseline records no trace, so the checkpoints carry empty ones.
     CrashMission baseline = factory();
     require(baseline.system != nullptr, "mission factory built no system");
     core::System& base_system = *baseline.system;
+    base_system.set_record_trace(false);
     require(base_system.processors().has_processor(options.victim),
             "crash sweep victim is not in the system");
     const failstop::Processor& victim =
@@ -236,6 +239,7 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
           require(mission.system != nullptr,
                   "mission factory built no system");
           core::System& system = *mission.system;
+          system.set_record_trace(false);
           system.restore(
               checkpoints[static_cast<std::size_t>(base_frame / stride)]);
           system.run(crash_frame - base_frame);

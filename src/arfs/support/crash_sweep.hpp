@@ -19,6 +19,11 @@
 //    crash frame, and simulates only the residual < K frames. Total
 //    simulated frames fall to F + ~F·K/2, minimized at K ≈ √F (the
 //    auto-tune default).
+//
+// No verdict reads the per-frame sys_trace, so the sweep switches trace
+// recording off on every system the factory builds (baseline and probes,
+// both strategies): checkpoints then hold O(√F) device-state images and
+// no O(F) trace copies, and restores have no trace to copy.
 #pragma once
 
 #include <cstdint>

@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/journal.hpp"
 #include "arfs/storage/durable/lsm_engine.hpp"
+#include "arfs/storage/durable/snapshot.hpp"
+#include "arfs/storage/durable/wire.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -474,6 +478,152 @@ TEST(EngineCheckpointing, AdaptiveControllerStateRoundTrips) {
     EXPECT_EQ(recovered.fingerprint(), fingerprint_at_cp) << to_string(kind);
     EXPECT_EQ(report.last_epoch, 12u) << to_string(kind);
   }
+}
+
+// --- snapshot GC skim -----------------------------------------------------
+
+using storage::Value;
+using storage::durable::MemoryBackend;
+using storage::durable::SnapshotScan;
+
+using SnapshotEntries = std::vector<std::tuple<std::string, Value, Cycle>>;
+
+/// One entry of every value type, varied by epoch.
+SnapshotEntries image_entries(std::uint64_t epoch) {
+  return {{"a/count", Value{static_cast<std::int64_t>(epoch)}, epoch},
+          {"a/flag", Value{epoch % 2 == 0}, epoch},
+          {"b/name", Value{"mode-" + std::to_string(epoch)}, 1},
+          {"b/ratio", Value{0.25 * static_cast<double>(epoch)}, epoch - 1}};
+}
+
+/// A device holding `images` clean images at epochs 1, 2, ….
+MemoryBackend clean_device(std::size_t images) {
+  MemoryBackend device;
+  for (std::uint64_t e = 1; e <= images; ++e) {
+    EXPECT_TRUE(storage::durable::append_snapshot(device, e, image_entries(e)));
+  }
+  return device;
+}
+
+std::vector<std::uint8_t> bytes_of(const MemoryBackend& device) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(device.size()));
+  EXPECT_EQ(device.read(0, bytes.data(), bytes.size()), bytes.size());
+  return bytes;
+}
+
+MemoryBackend device_of(const std::vector<std::uint8_t>& bytes) {
+  MemoryBackend device;
+  device.append(bytes.data(), bytes.size());
+  return device;
+}
+
+/// Appends `payload` in a valid envelope (correct length and CRC).
+void append_enveloped(MemoryBackend& device,
+                      const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> envelope;
+  storage::durable::put_u32(envelope,
+                            static_cast<std::uint32_t>(payload.size()));
+  storage::durable::put_u32(
+      envelope, storage::durable::crc32(payload.data(), payload.size()));
+  envelope.insert(envelope.end(), payload.begin(), payload.end());
+  device.append(envelope.data(), envelope.size());
+}
+
+/// The GC's keep/rewrite decision reads only the image layout, so the skim
+/// must report exactly the layout the full scan reports.
+void expect_skim_matches_scan(const MemoryBackend& device,
+                              const std::string& label,
+                              std::size_t expected_images) {
+  const SnapshotScan scan = storage::durable::scan_snapshots(device);
+  const SnapshotScan skim = storage::durable::skim_snapshots(device);
+  EXPECT_EQ(scan.images, expected_images) << label;
+  EXPECT_EQ(skim.images, scan.images) << label;
+  EXPECT_EQ(skim.image_offsets, scan.image_offsets) << label;
+  EXPECT_EQ(skim.valid_bytes, scan.valid_bytes) << label;
+  EXPECT_EQ(skim.truncated, scan.truncated) << label;
+  EXPECT_EQ(skim.header_ok, scan.header_ok) << label;
+  EXPECT_EQ(skim.any_valid, scan.any_valid) << label;
+  EXPECT_EQ(skim.reason, scan.reason) << label;
+  EXPECT_TRUE(skim.last.entries.empty()) << label;
+}
+
+TEST(SnapshotSkim, MatchesFullScanOnCleanTornFlippedAndMalformedDevices) {
+  for (std::size_t n = 0; n <= 3; ++n) {
+    expect_skim_matches_scan(clean_device(n), "clean " + std::to_string(n),
+                             n);
+  }
+
+  // Torn tails: the third image's envelope, then its payload, cut short.
+  const MemoryBackend three = clean_device(3);
+  const std::uint64_t third =
+      storage::durable::scan_snapshots(three).image_offsets[2];
+  for (const std::uint64_t keep : {third + 5, third + 8 + 11}) {
+    MemoryBackend torn = clean_device(3);
+    torn.truncate(keep);
+    expect_skim_matches_scan(torn, "torn at " + std::to_string(keep), 2);
+  }
+
+  // A flipped bit in the second image's payload fails its CRC.
+  std::vector<std::uint8_t> flipped = bytes_of(three);
+  flipped[static_cast<std::size_t>(
+              storage::durable::scan_snapshots(three).image_offsets[1]) +
+          8 + 3] ^= 0x10;
+  expect_skim_matches_scan(device_of(flipped), "bit flip", 1);
+
+  // CRC-valid payloads that do not parse as an image, after one good one.
+  std::vector<std::vector<std::uint8_t>> malformed;
+  {
+    std::vector<std::uint8_t> p;  // trailing byte after a whole entry
+    storage::durable::put_u64(p, 2);
+    storage::durable::put_u64(p, 1);
+    storage::durable::put_string(p, "k");
+    storage::durable::put_value(p, Value{true});
+    storage::durable::put_u64(p, 2);
+    storage::durable::put_u8(p, 0);
+    malformed.push_back(p);
+  }
+  {
+    std::vector<std::uint8_t> p;  // unknown value tag
+    storage::durable::put_u64(p, 2);
+    storage::durable::put_u64(p, 1);
+    storage::durable::put_string(p, "k");
+    storage::durable::put_u8(p, 7);
+    storage::durable::put_u64(p, 2);
+    malformed.push_back(p);
+  }
+  {
+    std::vector<std::uint8_t> p;  // string longer than the payload
+    storage::durable::put_u64(p, 2);
+    storage::durable::put_u64(p, 1);
+    storage::durable::put_u32(p, 1000);
+    storage::durable::put_u8(p, 'k');
+    malformed.push_back(p);
+  }
+  {
+    std::vector<std::uint8_t> p;  // entry count far beyond the payload
+    storage::durable::put_u64(p, 2);
+    storage::durable::put_u64(p, std::uint64_t{1} << 62);
+    storage::durable::put_string(p, "k");
+    storage::durable::put_value(p, Value{std::string("v")});
+    storage::durable::put_u64(p, 2);
+    malformed.push_back(p);
+  }
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    MemoryBackend device = clean_device(1);
+    append_enveloped(device, malformed[i]);
+    expect_skim_matches_scan(device, "malformed " + std::to_string(i), 1);
+  }
+
+  // An implausible length prefix, and a bad device header.
+  MemoryBackend implausible = clean_device(2);
+  std::vector<std::uint8_t> huge;
+  storage::durable::put_u32(huge, storage::durable::kMaxPayload + 1);
+  storage::durable::put_u32(huge, 0);
+  implausible.append(huge.data(), huge.size());
+  expect_skim_matches_scan(implausible, "implausible length", 2);
+  std::vector<std::uint8_t> bad_header = bytes_of(three);
+  bad_header[7] = 'X';
+  expect_skim_matches_scan(device_of(bad_header), "bad header", 0);
 }
 
 }  // namespace

@@ -138,7 +138,7 @@ int usage() {
   std::cerr
       << "usage: arfsctl <describe|certify|simulate|sweep|fleet|economics>"
          " ...\n"
-         "  describe <uav|uav-ext|chain[:N]|random[:S]>\n"
+         "  describe <uav|uav-ext|chain[:N>=2]|random[:S]>\n"
          "  certify  <spec> [--json]\n"
          "  simulate <spec> [frames=400] [seed=1]\n"
          "  sweep    <spec> [--frames N] [--io-fault torn|bitflip] [--warm]\n"
@@ -196,7 +196,7 @@ std::optional<SpecChoice> make_spec(const std::string& name) {
     if (!arg.empty() && !parse_number(arg, params.configs)) {
       return std::nullopt;
     }
-    if (params.configs < 2) params.configs = 4;
+    if (params.configs < 2) return std::nullopt;  // a chain needs two
     choice.spec = support::make_chain_spec(params);
     return choice;
   }
