@@ -552,7 +552,6 @@ std::uint64_t fnv_mix_engine(std::uint64_t h,
   h = fnv_mix(h, cp.ship_horizon);
   h = fnv_mix(h, cp.adaptive_watermark_fp);
   h = fnv_mix(h, cp.reconfig_pressure ? 1 : 0);
-  h = fnv_mix(h, cp.state_flush_cycle);
   return h;
 }
 

@@ -89,10 +89,9 @@ class JournalBackend {
 class MemoryBackend final : public JournalBackend {
  public:
   MemoryBackend() = default;
-  /// A device pre-loaded with a durable image and buffered tail — how a
-  /// non-memory device (ArenaBackend) forks its frozen byte image into a
-  /// checkpointable clone. Fault hooks start disarmed; the cloning caller
-  /// re-arms them through the public hook methods.
+  /// A device pre-loaded with a durable image and buffered tail (e.g. a
+  /// journal file's bytes, loaded so recovery can never modify the file).
+  /// Fault hooks start disarmed.
   MemoryBackend(std::vector<std::uint8_t> durable,
                 std::vector<std::uint8_t> buffered);
   /// Copying (incl. fork()) hydrates a spilled source first: the copy is

@@ -1,12 +1,10 @@
 // Byte-budgeted LRU block cache.
 //
-// Storage engines use it to keep *decoded* device blocks in memory so a
+// The storage engine uses it to keep *decoded* device blocks in memory so a
 // recovery or crash-sweep restore that re-reads an unchanged device can skip
 // the decode (CRC walk, varint/string parsing, per-record allocations)
-// entirely: the WAL-family engines cache whole journal scans content-addressed
-// by (size, FNV-1a of the device bytes), and the LSM engine caches decoded
-// immutable runs addressed by (offset, length, CRC) — a run never changes in
-// place, so the triple attests the content.
+// entirely: it caches whole journal scans content-addressed by (size,
+// FNV-1a of the device bytes).
 //
 // The cache is a performance layer only: every consumer must produce
 // bit-identical results on a hit and on a miss, so hit/miss counts live in
@@ -25,9 +23,8 @@ namespace arfs::storage::durable {
 template <typename V>
 class BlockCache {
  public:
-  /// 128-bit content address. The two halves are engine-defined: the WAL
-  /// scan cache uses (journal size, byte fingerprint); the LSM run cache
-  /// uses (run offset, length<<32 | crc).
+  /// 128-bit content address, defined by the user: the journal scan cache
+  /// uses (journal size, byte fingerprint).
   struct Key {
     std::uint64_t hi = 0;
     std::uint64_t lo = 0;

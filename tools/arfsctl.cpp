@@ -6,17 +6,17 @@
 //                                           print SFTA phase tables and the
 //                                           SP1-SP4 report
 //   arfsctl sweep <spec> [--frames N] [--io-fault torn|bitflip] [--warm]
-//                 [--engine wal|mmap|lsm] [--adaptive] [--quorum N]
-//                 [--kill K] [--checkpoint-stride K] [--json]
+//                 [--adaptive] [--quorum N] [--kill K]
+//                 [--checkpoint-stride K] [--arena PATH] [--json]
 //                                           crash-point sweep: fail-stop the
 //                                           mission's durable victim at every
 //                                           frame and verify each recovery
 //                                           (checkpointed O(F·K) strategy)
-//   arfsctl engine stat <spec> [--engine wal|mmap|lsm] [--adaptive]
-//                 [--frames N] [--json]     run a durable mission and print
+//   arfsctl engine stat <spec> [--adaptive] [--frames N] [--json]
+//                                           run a durable mission and print
 //                                           the victim's storage-engine
-//                                           counters (cache, adaptive
-//                                           watermark, LSM runs)
+//                                           counters (journal, snapshots,
+//                                           cache, adaptive watermark)
 //   arfsctl fleet <spec> [--samples N] [--frames F] [--warmup W]
 //                 [--shards S] [--threads T] [--no-pool] [--json [path]]
 //                                           fleet-scale Monte-Carlo mission
@@ -108,7 +108,6 @@
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/journal.hpp"
 #include "arfs/storage/durable/shipping.hpp"
-#include "arfs/storage/durable/wal_snapshot.hpp"
 #include "arfs/storage/durable/wire.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/sim/fleet.hpp"
@@ -142,11 +141,9 @@ int usage() {
          "  certify  <spec> [--json]\n"
          "  simulate <spec> [frames=400] [seed=1]\n"
          "  sweep    <spec> [--frames N] [--io-fault torn|bitflip] [--warm]\n"
-         "           [--engine wal|mmap|lsm] [--adaptive]\n"
-         "           [--quorum N] [--kill K] [--checkpoint-stride K]\n"
-         "           [--arena PATH] [--json]\n"
-         "  engine   stat <spec> [--engine wal|mmap|lsm] [--adaptive]\n"
-         "           [--frames N] [--json]\n"
+         "           [--adaptive] [--quorum N] [--kill K]\n"
+         "           [--checkpoint-stride K] [--arena PATH] [--json]\n"
+         "  engine   stat <spec> [--adaptive] [--frames N] [--json]\n"
          "  quorum   <demo|status> [spec=chain] [--replicas N] [--frames F]\n"
          "           [--kill K]\n"
          "  fleet    <spec> [--samples N] [--frames F] [--warmup W]\n"
@@ -349,7 +346,7 @@ int cmd_journal_demo(const std::string& path, Cycle commits,
                      std::uint64_t seed) {
   auto file = std::make_unique<storage::durable::FileBackend>(path);
   file->truncate(0);  // a demo always starts a fresh journal
-  storage::durable::WalSnapshotEngine engine(
+  storage::durable::DurabilityEngine engine(
       std::move(file), std::make_unique<storage::durable::MemoryBackend>());
   storage::StableStorage store;
   Rng rng(seed);
@@ -380,7 +377,7 @@ int cmd_journal_stats(const std::string& path, bool json) {
   const std::string& bytes = raw.str();
   storage::durable::DurableOptions options;
   options.block_cache_bytes = 1u << 20;
-  storage::durable::WalSnapshotEngine engine(
+  storage::durable::DurabilityEngine engine(
       std::make_unique<storage::durable::MemoryBackend>(
           std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
           std::vector<std::uint8_t>()),
@@ -393,8 +390,9 @@ int cmd_journal_stats(const std::string& path, bool json) {
   const storage::durable::DurabilityStats& stats = engine.stats();
 
   if (json) {
-    std::cout << "{\"file\": \"" << path << "\", \"engine\": \""
-              << to_string(engine.kind()) << "\", \"records\": "
+    std::string file;
+    support::append_escaped(file, path);
+    std::cout << "{\"file\": " << file << ", \"records\": "
               << first.records_applied << ", \"valid_bytes\": "
               << first.valid_bytes << ", \"truncated\": "
               << (first.journal_truncated ? "true" : "false")
@@ -554,11 +552,8 @@ int cmd_journal_ship(const std::string& src_path, const std::string& dst_path,
 /// so concurrent crash-point jobs share no mutable state.
 support::MissionFactory sweep_mission_factory(
     const std::string& spec_name, bool shipping,
-    std::uint32_t quorum_replicas = 0,
-    storage::durable::EngineKind engine =
-        storage::durable::EngineKind::kWalSnapshot,
-    bool adaptive = false) {
-  return [spec_name, shipping, quorum_replicas, engine, adaptive] {
+    std::uint32_t quorum_replicas = 0, bool adaptive = false) {
+  return [spec_name, shipping, quorum_replicas, adaptive] {
     struct Bundle {
       SpecChoice choice;
       std::optional<avionics::UavPlant> plant;
@@ -573,7 +568,6 @@ support::MissionFactory sweep_mission_factory(
     options.quorum_replicas = quorum_replicas;
     options.durability.snapshot_every_epochs =
         bundle->choice.is_uav ? 16 : 7;
-    options.durability.engine = engine;
     if (adaptive) {
       options.durability.sync = storage::durable::SyncPolicy::adaptive();
     }
@@ -605,7 +599,7 @@ support::MissionFactory sweep_mission_factory(
 int cmd_sweep(const std::string& spec_name, bool is_uav,
               const support::CrashSweepOptions& sweep_options,
               std::uint32_t quorum_replicas, const std::string& arena_path,
-              storage::durable::EngineKind engine, bool adaptive, bool json) {
+              bool adaptive, bool json) {
   support::CrashSweepOptions options = sweep_options;
   options.victim =
       is_uav ? avionics::kComputer1 : support::synthetic_processor(0);
@@ -618,7 +612,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
   }
   const support::CrashSweepReport report = support::run_crash_sweep(
       sweep_mission_factory(spec_name, options.warm_start, quorum_replicas,
-                            engine, adaptive),
+                            adaptive),
       options);
 
   const char* fault =
@@ -628,8 +622,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
                 ? "bitflip"
                 : "none";
   if (json) {
-    std::cout << "{\"spec\": \"" << spec_name << "\", \"engine\": \""
-              << to_string(engine) << "\", \"frames\": "
+    std::cout << "{\"spec\": \"" << spec_name << "\", \"frames\": "
               << options.frames << ", \"io_fault\": \"" << fault
               << "\", \"warm_start\": "
               << (options.warm_start ? "true" : "false")
@@ -644,8 +637,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
               << ", \"digest\": \"0x" << std::hex << report.digest()
               << std::dec << "\"}\n";
   } else {
-    std::cout << "crash-point sweep: " << spec_name << " (engine "
-              << to_string(engine) << "), " << options.frames
+    std::cout << "crash-point sweep: " << spec_name << ", " << options.frames
               << " crash points, io-fault " << fault
               << (options.warm_start ? ", warm-start" : "") << "\n"
               << "stride " << report.stride_used << " ("
@@ -665,14 +657,13 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
   return report.all_match() ? 0 : 1;
 }
 
-/// Runs a durable mission under the chosen storage engine and prints the
-/// victim processor's engine counters — the operator's window onto the
-/// block cache, the adaptive sync controller, and (for lsm) run churn.
-int cmd_engine_stat(const std::string& spec_name, bool is_uav,
-                    storage::durable::EngineKind kind, bool adaptive,
+/// Runs a durable mission and prints the victim processor's engine
+/// counters — the operator's window onto the journal, the snapshot GC, the
+/// block cache, and the adaptive sync controller.
+int cmd_engine_stat(const std::string& spec_name, bool is_uav, bool adaptive,
                     Cycle frames, bool json) {
   support::CrashMission mission = sweep_mission_factory(
-      spec_name, /*shipping=*/false, /*quorum_replicas=*/0, kind, adaptive)();
+      spec_name, /*shipping=*/false, /*quorum_replicas=*/0, adaptive)();
   core::System& system = *mission.system;
   system.run(frames);
 
@@ -687,8 +678,7 @@ int cmd_engine_stat(const std::string& spec_name, bool is_uav,
   const storage::durable::DurabilityStats& stats = engine->stats();
 
   if (json) {
-    std::cout << "{\"spec\": \"" << spec_name << "\", \"engine\": \""
-              << to_string(engine->kind()) << "\", \"frames\": " << frames
+    std::cout << "{\"spec\": \"" << spec_name << "\", \"frames\": " << frames
               << ", \"sync_mode\": \"" << to_string(engine->options().sync.mode)
               << "\", \"commits\": " << stats.commits_journaled
               << ", \"bytes_appended\": " << stats.bytes_appended
@@ -705,12 +695,9 @@ int cmd_engine_stat(const std::string& spec_name, bool is_uav,
               << ", \"adaptive_raises\": " << stats.adaptive_raises
               << ", \"adaptive_drops\": " << stats.adaptive_drops
               << ", \"pressure_engagements\": " << stats.pressure_engagements
-              << ", \"pressure_syncs\": " << stats.pressure_syncs
-              << ", \"lsm_runs_flushed\": " << stats.lsm_runs_flushed
-              << ", \"lsm_compactions\": " << stats.lsm_compactions << "}\n";
+              << ", \"pressure_syncs\": " << stats.pressure_syncs << "}\n";
   } else {
-    std::cout << "engine stat: " << spec_name << ", engine "
-              << to_string(engine->kind()) << ", sync "
+    std::cout << "engine stat: " << spec_name << ", sync "
               << to_string(engine->options().sync.mode) << ", " << frames
               << " frames\n"
               << "journal: " << stats.commits_journaled << " commits, "
@@ -730,11 +717,6 @@ int cmd_engine_stat(const std::string& spec_name, bool is_uav,
                 << stats.adaptive_drops << " drops), pressure "
                 << stats.pressure_engagements << " engagements, "
                 << stats.pressure_syncs << " extra syncs\n";
-    }
-    if (engine->kind() == storage::durable::EngineKind::kLsm) {
-      std::cout << "lsm: " << stats.lsm_runs_flushed << " runs flushed, "
-                << stats.lsm_compactions << " compactions, "
-                << stats.lsm_bounds_skips << " bounds skips\n";
     }
   }
   return 0;
@@ -1176,11 +1158,19 @@ int main(int argc, char** argv) {
       if (argc < 4) return usage();
       const std::string sub = argv[2];
       const std::string path = argv[3];
-      if (sub == "dump") return cmd_journal_dump(path, /*verify_only=*/false);
-      if (sub == "verify") return cmd_journal_dump(path, /*verify_only=*/true);
+      // The one optional flag dump|verify|repair|stats accept; anything
+      // else is a usage error (a mistyped --dry-run must never repair).
+      const std::string flag = argc > 4 ? argv[4] : "";
+      const auto only_flag = [&](const char* allowed) {
+        return argc == 4 || (argc == 5 && flag == allowed);
+      };
+      if (sub == "dump" || sub == "verify") {
+        if (argc != 4) return usage();
+        return cmd_journal_dump(path, /*verify_only=*/sub == "verify");
+      }
       if (sub == "repair") {
-        const bool dry_run = argc > 4 && std::string(argv[4]) == "--dry-run";
-        return cmd_journal_repair(path, dry_run);
+        if (!only_flag("--dry-run")) return usage();
+        return cmd_journal_repair(path, /*dry_run=*/argc == 5);
       }
       if (sub == "demo") {
         Cycle commits = 16;
@@ -1192,8 +1182,8 @@ int main(int argc, char** argv) {
         return cmd_journal_demo(path, commits, seed);
       }
       if (sub == "stats") {
-        const bool json = argc > 4 && std::string(argv[4]) == "--json";
-        return cmd_journal_stats(path, json);
+        if (!only_flag("--json")) return usage();
+        return cmd_journal_stats(path, /*json=*/argc == 5);
       }
       if (sub == "ship") {
         if (argc < 5) return usage();
@@ -1225,18 +1215,12 @@ int main(int argc, char** argv) {
       if (argc < 4 || std::string(argv[2]) != "stat") return usage();
       const std::optional<SpecChoice> choice = make_spec(argv[3]);
       if (!choice.has_value()) return usage();
-      storage::durable::EngineKind kind =
-          storage::durable::EngineKind::kWalSnapshot;
       bool adaptive = false;
       Cycle frames = 48;
       bool json = false;
       for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--engine" && i + 1 < argc) {
-          if (!storage::durable::parse_engine_kind(argv[++i], kind)) {
-            return usage();
-          }
-        } else if (arg == "--adaptive") {
+        if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--frames" && i + 1 < argc) {
           if (!parse_number(argv[++i], frames)) return usage();
@@ -1247,8 +1231,7 @@ int main(int argc, char** argv) {
         }
       }
       if (frames == 0) return usage();
-      return cmd_engine_stat(argv[3], choice->is_uav, kind, adaptive, frames,
-                             json);
+      return cmd_engine_stat(argv[3], choice->is_uav, adaptive, frames, json);
     }
 
     if (cmd == "quorum") {
@@ -1380,18 +1363,12 @@ int main(int argc, char** argv) {
       options.frames = 24;
       std::uint32_t quorum_replicas = 0;
       std::string arena_path;
-      storage::durable::EngineKind engine =
-          storage::durable::EngineKind::kWalSnapshot;
       bool adaptive = false;
       bool json = false;
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--frames" && i + 1 < argc) {
           if (!parse_number(argv[++i], options.frames)) return usage();
-        } else if (arg == "--engine" && i + 1 < argc) {
-          if (!storage::durable::parse_engine_kind(argv[++i], engine)) {
-            return usage();
-          }
         } else if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--quorum" && i + 1 < argc) {
@@ -1429,7 +1406,7 @@ int main(int argc, char** argv) {
         return usage();
       }
       return cmd_sweep(argv[2], choice->is_uav, options, quorum_replicas,
-                       arena_path, engine, adaptive, json);
+                       arena_path, adaptive, json);
     }
     if (cmd == "fleet") {
       support::FleetMissionOptions options;
