@@ -676,7 +676,6 @@ std::uint64_t SystemCheckpoint::digest() const {
 
   h = fnv_mix(h, deadline_alarm_raised ? 1 : 0);
   h = fnv_mix(h, noise_rng_state);
-  h = fnv_mix(h, trace.has_value() ? trace->size() + 1 : 0);
 
   for (const auto& [pid, qcp] : quorum_channels) {
     h = fnv_mix(h, pid.value());

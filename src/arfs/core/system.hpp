@@ -94,8 +94,11 @@ struct SystemOptions {
   /// Record the per-frame sys_trace (needed for get_reconfigs and the
   /// SP1-SP4 checkers). The trace grows by one state per frame and every
   /// checkpoint()/restore() copies it whole, so disable it wherever nothing
-  /// reads it: unbounded benchmark runs, and the crash-sweep probes
-  /// (System::set_record_trace), whose verdicts read only stable storage.
+  /// reads it: unbounded benchmark runs, the crash-sweep probes, whose
+  /// verdicts read only stable storage, and the fleet samples, which keep
+  /// only their digests (both via System::set_record_trace). The trace
+  /// observes the mission and is not part of its state: digest() does not
+  /// mix it, so a run digests the same with recording on or off.
   bool record_trace = true;
 };
 
@@ -193,7 +196,9 @@ struct SystemCheckpoint {
 
   /// Order-sensitive FNV-1a digest over the checkpointed state, durable
   /// device byte streams included. Two checkpoints of the same factory's
-  /// system with equal digests describe bit-identical mission state.
+  /// system with equal digests describe bit-identical mission state. The
+  /// trace is not mixed (stats.frames_run already counts its frames), so
+  /// recording on and off give the same digest.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Spills every forked durable-device byte image this checkpoint holds

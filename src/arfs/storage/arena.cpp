@@ -390,6 +390,7 @@ ArenaScan scan_arena_file(const std::string& path) {
     s.error = "implausible slab size";
     return s;
   }
+  s.header_ok = true;
   std::vector<std::uint8_t> payload;
   std::uint64_t off = MappedArena::kFileHeaderBytes;
   while (off + MappedArena::kChunkHeaderBytes <= size) {

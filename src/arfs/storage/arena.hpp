@@ -174,6 +174,9 @@ class MappedArena {
 struct ArenaScan {
   bool ok = false;            ///< Header valid and every chunk accounted for.
   std::string error;          ///< First structural problem, empty when ok.
+  /// The file header parsed (magic, version, slab size); the counts below
+  /// describe the file only when it did.
+  bool header_ok = false;
   std::uint64_t file_bytes = 0;
   std::uint64_t slab_bytes = 0;
   std::uint64_t chunks = 0;          ///< Data chunks (open + sealed).

@@ -212,8 +212,8 @@ void DurabilityEngine::record_commit(const StableStorage& store, Cycle cycle) {
     return;
   }
   scratch_.clear();
-  encode_commit(scratch_, interner_, store.commit_epochs() + 1, cycle,
-                store.pending());
+  encode_commit(scratch_, interner_, key_ids_, store.commit_epochs() + 1,
+                cycle, store.pending());
   journal_->append(scratch_.data(), scratch_.size());
   stats_.bytes_appended += scratch_.size();
   ++stats_.commits_journaled;

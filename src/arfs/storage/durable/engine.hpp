@@ -382,6 +382,7 @@ class DurabilityEngine {
   DurabilityStats stats_;
 
   std::vector<std::uint8_t> scratch_;  ///< Reused record encode buffer.
+  std::vector<std::uint32_t> key_ids_;  ///< Reused commit key-id buffer.
   /// Reused journal-replay payload buffer (the decode mirror of scratch_);
   /// reuse is counted in DurabilityStats::decode_buffer_reuses.
   std::vector<std::uint8_t> decode_scratch_;

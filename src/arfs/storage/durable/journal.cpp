@@ -66,14 +66,15 @@ void close_envelope(std::vector<std::uint8_t>& out, std::size_t env) {
 }  // namespace
 
 void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
-                   std::uint64_t epoch, Cycle cycle,
+                   std::vector<std::uint32_t>& ids, std::uint64_t epoch,
+                   Cycle cycle,
                    const std::vector<std::pair<std::string, Value>>& entries) {
-  // Intern every key first so one dictionary record covers the whole commit.
+  // Intern every key first so one dictionary record covers the whole commit;
+  // the commit record reuses the ids instead of looking each key up again.
   const std::uint32_t first_fresh =
       static_cast<std::uint32_t>(dict.size() - dict.fresh().size());
-  for (const auto& [key, value] : entries) {
-    (void)dict.intern(key);
-  }
+  ids.clear();
+  for (const auto& entry : entries) ids.push_back(dict.intern(entry.first));
   if (!dict.fresh().empty()) {
     const std::size_t env = open_envelope(out);
     put_u8(out, kRecordDict);
@@ -88,9 +89,9 @@ void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
   put_u64(out, epoch);
   put_u64(out, cycle);
   put_u32(out, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [key, value] : entries) {
-    put_varint(out, dict.intern(key));
-    put_value(out, value);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    put_varint(out, ids[i]);
+    put_value(out, entries[i].second);
   }
   close_envelope(out, env);
 }

@@ -117,9 +117,11 @@ bool ensure_header(JournalBackend& backend);
 /// Encodes one commit into `out`: a dictionary record first when `dict` has
 /// unflushed fresh keys, then the commit record itself. `out` is appended
 /// to, not cleared, and no temporary buffers are allocated — payloads are
-/// encoded in place and their envelopes back-patched.
+/// encoded in place and their envelopes back-patched. `ids` is the caller's
+/// reused scratch for the entries' key ids (each key is interned once).
 void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
-                   std::uint64_t epoch, Cycle cycle,
+                   std::vector<std::uint32_t>& ids, std::uint64_t epoch,
+                   Cycle cycle,
                    const std::vector<std::pair<std::string, Value>>& entries);
 
 /// Allocation accounting of one scan's payload reads (the decode mirror of

@@ -229,8 +229,19 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
   require(static_cast<bool>(plan_for), "fleet sweep needs a plan factory");
   require(options.frames > 0, "fleet sweep needs a positive mission length");
 
+  // Nothing reads a sample's trace, and every checkpoint, restore and
+  // digest would copy it whole: build every system non-recording, pooled or
+  // not, before it runs its first frame. The digest does not mix the trace,
+  // so the report is the same as a recording sweep's.
+  const MissionFactory untraced = [&factory] {
+    CrashMission mission = factory();
+    require(mission.system != nullptr, "mission factory built no system");
+    mission.system->set_record_trace(false);
+    return mission;
+  };
+
   const sim::ShardPlan plan = fleet.plan(options.samples);
-  SystemPool pool(factory, options.warmup_frames);
+  SystemPool pool(untraced, options.warmup_frames);
   const bool pooled = options.pool_systems;
 
   // Arena evidence: one region per chunk, written lock-free by the owning
@@ -268,9 +279,7 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
           // Ablation oracle: fresh construction plus warm-up replay per
           // sample. Bit-identical to the pooled path — the plan's events
           // all land at or after the warm point.
-          CrashMission mission = factory();
-          require(mission.system != nullptr,
-                  "mission factory built no system");
+          CrashMission mission = untraced();
           if (options.warmup_frames > 0) {
             mission.system->run(options.warmup_frames);
           }

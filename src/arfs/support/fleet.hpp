@@ -226,7 +226,9 @@ struct MissionEvidence {
 /// under `plan_for(seed)`'s fault plan, on the sharded fleet engine.
 /// Pooled mode leases warm systems and resets them per sample;
 /// construct-per-sample mode builds each mission from scratch and replays
-/// the warm-up prefix. Both produce bit-identical reports.
+/// the warm-up prefix. Both produce bit-identical reports. Every system
+/// built here runs with trace recording off: only digests and stats leave
+/// the sweep, and neither depends on the trace.
 [[nodiscard]] FleetMissionReport run_fleet_missions(
     const MissionFactory& factory, const PlanFactory& plan_for,
     const FleetMissionOptions& options, sim::FleetRunner& fleet);

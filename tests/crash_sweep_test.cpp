@@ -373,6 +373,9 @@ TEST(CrashSweep, UntracedSystemRunsTheSameMissionWithAnEmptyTrace) {
     ASSERT_TRUE(untraced.system->trace().empty()) << "frame " << f;
     ASSERT_TRUE(untraced.system->stats() == traced.system->stats())
         << "frame " << f;
+    // The trace is not mission state: recording never moves the digest.
+    ASSERT_EQ(untraced.system->digest(), traced.system->digest())
+        << "frame " << f;
     ASSERT_EQ(untraced.system->scram().current_config(),
               traced.system->scram().current_config())
         << "frame " << f;

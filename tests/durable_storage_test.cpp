@@ -183,7 +183,8 @@ JournalRecord one_record(MemoryBackend& device, KeyInterner& dict,
   r.cycle = cycle;
   r.entries = {{"k" + std::to_string(epoch), Value{std::int64_t(epoch)}}};
   std::vector<std::uint8_t> buf;
-  encode_commit(buf, dict, r.epoch, r.cycle, r.entries);
+  std::vector<std::uint32_t> ids;
+  encode_commit(buf, dict, ids, r.epoch, r.cycle, r.entries);
   device.append(buf.data(), buf.size());
   return r;
 }
@@ -218,10 +219,11 @@ TEST(JournalScan, RepeatedKeysShipAsIdsNotStrings) {
     ensure_header(device);
     const std::uint64_t header_and_dict_free = device.size();
     std::vector<std::uint8_t> buf;
+    std::vector<std::uint32_t> ids;
     std::uint64_t steady_bytes = 0;
     for (std::uint64_t epoch = 1; epoch <= 20; ++epoch) {
       buf.clear();
-      encode_commit(buf, dict, epoch, epoch,
+      encode_commit(buf, dict, ids, epoch, epoch,
                     {{prefix + "a", Value{std::int64_t(epoch)}},
                      {prefix + "b", Value{true}}});
       device.append(buf.data(), buf.size());

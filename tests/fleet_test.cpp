@@ -13,11 +13,14 @@
 //    serial reports;
 //  * support::run_fleet_missions — chain and §7 avionics missions — has one
 //    digest across {threads} × {shards} × {pooled, construct-per-sample},
-//    equal to the 1-thread/1-shard/no-pool serial oracle;
+//    equal to the 1-thread/1-shard/no-pool serial oracle; its samples run
+//    untraced, and its digest is the same whether the factory's systems
+//    record a trace or not;
 //  * PooledMission's checkpoint ladder rewinds exactly: reset_to(f) is
 //    bit-identical to a fresh build run f frames.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -427,6 +430,113 @@ TEST(SystemPool, ReusesIdleMissionsAndCountsConstructions) {
   const SystemPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.leases, 3u);
   EXPECT_EQ(stats.constructions, 2u);
+}
+
+/// Wraps `inner` so every system it builds stops recording its trace.
+MissionFactory non_recording(MissionFactory inner) {
+  return [inner] {
+    CrashMission mission = inner();
+    mission.system->set_record_trace(false);
+    return mission;
+  };
+}
+
+TEST(Fleet, ReportDigestIsIndependentOfTraceRecording) {
+  // The §7 mission with durable storage: the digest covers device bytes,
+  // and reconfigurations land inside the sampled leg.
+  avionics::UavSpecOptions spec_options;
+  spec_options.dwell_frames = 10;
+  const core::ReconfigSpec spec = avionics::make_uav_spec(spec_options);
+  FleetMissionOptions options;
+  options.samples = 5;
+  options.frames = 6;
+  options.warmup_frames = 3;
+  options.base_seed = 7;
+  const PlanFactory plans =
+      env_plans_for(spec, options.warmup_frames, options.frames, 20'000);
+  const MissionFactory recording = fleet_uav_factory();
+  const MissionFactory untraced = non_recording(recording);
+
+  std::uint64_t first = 0;
+  for (const bool pooled : {true, false}) {
+    for (const std::size_t threads : {1u, 3u}) {
+      sim::FleetOptions fleet_options;
+      fleet_options.threads = threads;
+      fleet_options.chunk = 2;
+      sim::FleetRunner fleet(fleet_options);
+      options.pool_systems = pooled;
+      const FleetMissionReport traced_report =
+          run_fleet_missions(recording, plans, options, fleet);
+      const FleetMissionReport untraced_report =
+          run_fleet_missions(untraced, plans, options, fleet);
+      EXPECT_EQ(traced_report.digest, untraced_report.digest)
+          << "pooled=" << pooled << " threads=" << threads;
+      EXPECT_EQ(traced_report.frames_run, untraced_report.frames_run);
+      if (first == 0) first = traced_report.digest;
+      EXPECT_EQ(traced_report.digest, first)
+          << "pooled=" << pooled << " threads=" << threads;
+    }
+  }
+  EXPECT_NE(first, 0u);
+}
+
+TEST(Fleet, SamplesRunUntraced) {
+  // A recording factory whose systems report the trace size at the start
+  // of every frame (an environment hook: configuration, never digested).
+  struct Probe {
+    std::atomic<std::uint64_t> frames{0};
+    std::atomic<std::size_t> largest_trace{0};
+  };
+  auto probe = std::make_shared<Probe>();
+  const MissionFactory inner = fleet_chain_factory();
+  const MissionFactory factory = [inner, probe] {
+    CrashMission mission = inner();
+    const core::System* system = mission.system.get();
+    mission.system->add_env_hook(
+        [system, probe](env::Environment&, Cycle, SimTime) {
+          probe->frames.fetch_add(1);
+          const std::size_t size = system->trace().size();
+          std::size_t seen = probe->largest_trace.load();
+          while (size > seen &&
+                 !probe->largest_trace.compare_exchange_weak(seen, size)) {
+          }
+        });
+    return mission;
+  };
+  {
+    // The probe sees a recording system's trace grow: 0, 1, 2.
+    CrashMission mission = factory();
+    mission.system->run(3);
+    ASSERT_EQ(probe->largest_trace.load(), 2u);
+  }
+
+  const core::ReconfigSpec spec = make_chain_spec({});
+  FleetMissionOptions options;
+  options.samples = 9;
+  options.frames = 5;
+  options.warmup_frames = 4;
+  options.base_seed = 5;
+  const PlanFactory plans =
+      env_plans_for(spec, options.warmup_frames, options.frames, 10'000);
+  for (const bool pooled : {true, false}) {
+    probe->frames = 0;
+    probe->largest_trace = 0;
+    sim::FleetOptions fleet_options;
+    fleet_options.threads = 2;
+    fleet_options.chunk = 2;
+    sim::FleetRunner fleet(fleet_options);
+    options.pool_systems = pooled;
+    const FleetMissionReport report =
+        run_fleet_missions(factory, plans, options, fleet);
+    // Every simulated frame was observed — warm-ups included — and none
+    // started with a recorded state.
+    const std::uint64_t warmups = pooled ? report.systems_constructed
+                                         : options.samples;
+    EXPECT_EQ(probe->frames.load(),
+              warmups * options.warmup_frames + report.frames_run)
+        << "pooled=" << pooled;
+    EXPECT_EQ(probe->largest_trace.load(), 0u) << "pooled=" << pooled;
+  }
 }
 
 TEST(Sweep, FleetOverloadMatchesBatchRunnerSweep) {

@@ -1084,7 +1084,8 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
 
 int cmd_arena(const std::string& sub, const std::string& path) {
   const storage::ArenaScan scan = storage::scan_arena_file(path);
-  if (sub == "stat") {
+  // Counts mean nothing past a header that did not parse: print the verdict.
+  if (sub == "stat" && scan.header_ok) {
     std::cout << path << ": " << scan.file_bytes << " bytes, slab "
               << scan.slab_bytes << "\n"
               << "chunks: " << scan.chunks << " (" << scan.sealed
@@ -1175,7 +1176,7 @@ int main(int argc, char** argv) {
       if (sub == "demo") {
         Cycle commits = 16;
         std::uint64_t seed = 1;
-        if ((argc > 4 && !parse_number(argv[4], commits)) ||
+        if (argc > 6 || (argc > 4 && !parse_number(argv[4], commits)) ||
             (argc > 5 && !parse_number(argv[5], seed))) {
           return usage();
         }
@@ -1200,7 +1201,7 @@ int main(int argc, char** argv) {
     }
 
     if (cmd == "arena") {
-      if (argc < 4) return usage();
+      if (argc != 4) return usage();
       const std::string sub = argv[2];
       if (sub != "stat" && sub != "verify") return usage();
       return cmd_arena(sub, argv[3]);
@@ -1344,15 +1345,19 @@ int main(int argc, char** argv) {
     const std::optional<SpecChoice> choice = make_spec(argv[2]);
     if (!choice.has_value()) return usage();
 
-    if (cmd == "describe") return cmd_describe(*choice);
+    if (cmd == "describe") {
+      if (argc != 3) return usage();
+      return cmd_describe(*choice);
+    }
     if (cmd == "certify") {
-      const bool json = argc > 3 && std::string(argv[3]) == "--json";
+      const bool json = argc == 4 && std::string(argv[3]) == "--json";
+      if (argc != 3 && !json) return usage();
       return cmd_certify(*choice, json);
     }
     if (cmd == "simulate") {
       Cycle frames = 400;
       std::uint64_t seed = 1;
-      if ((argc > 3 && !parse_number(argv[3], frames)) ||
+      if (argc > 5 || (argc > 3 && !parse_number(argv[3], frames)) ||
           (argc > 4 && !parse_number(argv[4], seed))) {
         return usage();
       }
