@@ -8,7 +8,7 @@
 //     of the in-RAM path (the sealing/msync overhead is amortized across
 //     1024-row chunks);
 //   * determinism: the estimate digest and the evidence digest are
-//     bit-identical at every (threads, shards, storage) combination, and
+//     bit-identical at every (threads, storage) combination, and
 //     cold-checkpoint pool spilling never moves a mission digest.
 //
 // ARFS_ARENA_SAMPLES scales the RSS/throughput ladder (default 10^6; the
@@ -72,7 +72,7 @@ struct SweepCell {
 /// sweep; the arena (and its file) are destroyed before the RSS sample so
 /// the number reflects the sweep itself, not lingering mappings.
 SweepCell run_sweep(std::uint32_t trials, const char* arena_path,
-                    std::size_t threads, std::size_t shards) {
+                    std::size_t threads) {
   const analysis::DesignPair pair = analysis::section51_designs(4, 2, 2);
   const analysis::MissionParams mission = mc_mission(trials);
   SweepCell cell;
@@ -82,7 +82,6 @@ SweepCell run_sweep(std::uint32_t trials, const char* arena_path,
     std::unique_ptr<storage::MappedArena> arena;
     sim::FleetOptions options;
     options.threads = threads;
-    options.shards = shards;
     if (arena_path != nullptr) {
       storage::ArenaOptions arena_options;
       arena_options.path = arena_path;
@@ -119,8 +118,8 @@ void report_rss_and_throughput() {
   for (const std::uint32_t n :
        {samples / 4, samples / 2, samples}) {
     if (n == 0) continue;
-    const SweepCell arena_cell = run_sweep(n, kArenaPath, 0, 0);
-    const SweepCell inram_cell = run_sweep(n, nullptr, 0, 0);
+    const SweepCell arena_cell = run_sweep(n, kArenaPath, 0);
+    const SweepCell inram_cell = run_sweep(n, nullptr, 0);
     const bool equal =
         arena_cell.sweep.estimate.digest() ==
             inram_cell.sweep.estimate.digest() &&
@@ -152,9 +151,9 @@ void report_rss_and_throughput() {
   // high and would overstate the arena's footprint.
   if (samples > 0) {
     inram_full_ms =
-        std::min(inram_full_ms, run_sweep(samples, nullptr, 0, 0).ms);
+        std::min(inram_full_ms, run_sweep(samples, nullptr, 0).ms);
     arena_full_ms =
-        std::min(arena_full_ms, run_sweep(samples, kArenaPath, 0, 0).ms);
+        std::min(arena_full_ms, run_sweep(samples, kArenaPath, 0).ms);
   }
   const double penalty =
       inram_full_ms > 0 ? (arena_full_ms / inram_full_ms - 1.0) * 100.0
@@ -176,32 +175,27 @@ void report_digest_matrix() {
       std::max<std::size_t>(env_size("ARFS_ARENA_SAMPLES", 1'000'000) / 10,
                             10'000)));
 
-  // Serial in-RAM oracle; every (threads, shards, arena) cell must match
-  // both its estimate digest and its evidence digest bit for bit.
-  const SweepCell oracle = run_sweep(samples, nullptr, 1, 1);
+  // Serial in-RAM oracle; every (threads, arena) cell must match both its
+  // estimate digest and its evidence digest bit for bit.
+  const SweepCell oracle = run_sweep(samples, nullptr, 1);
   std::cout << "digest matrix, " << samples
             << " samples (oracle: serial in-RAM, estimate digest " << std::hex
             << oracle.sweep.estimate.digest() << std::dec << "):\n\n";
-  std::cout << std::left << std::setw(9) << "threads" << std::setw(8)
-            << "shards" << std::setw(9) << "storage" << "digests==oracle\n";
+  std::cout << std::left << std::setw(9) << "threads" << std::setw(9)
+            << "storage" << "digests==oracle\n";
 
   bool all_equal = true;
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    for (const std::size_t shards : {1u, 4u, 0u}) {  // 0 = auto ≈ √chunks
-      for (const bool arena : {false, true}) {
-        const SweepCell cell =
-            run_sweep(samples, arena ? kArenaPath : nullptr, threads, shards);
-        const bool equal =
-            cell.sweep.estimate.digest() == oracle.sweep.estimate.digest() &&
-            cell.sweep.evidence_digest == oracle.sweep.evidence_digest;
-        all_equal = all_equal && equal;
-        const std::string shard_label =
-            shards == 0 ? "auto" : std::to_string(shards);
-        std::cout << std::left << std::setw(9) << threads << std::setw(8)
-                  << shard_label << std::setw(9)
-                  << (arena ? "arena" : "ram") << (equal ? "yes" : "NO")
-                  << "\n";
-      }
+    for (const bool arena : {false, true}) {
+      const SweepCell cell =
+          run_sweep(samples, arena ? kArenaPath : nullptr, threads);
+      const bool equal =
+          cell.sweep.estimate.digest() == oracle.sweep.estimate.digest() &&
+          cell.sweep.evidence_digest == oracle.sweep.evidence_digest;
+      all_equal = all_equal && equal;
+      std::cout << std::left << std::setw(9) << threads << std::setw(9)
+                << (arena ? "arena" : "ram") << (equal ? "yes" : "NO")
+                << "\n";
     }
   }
   std::cout << "\ndigest matrix: bit-identical at every cell: "
@@ -308,7 +302,7 @@ void bm_arena_evidence(benchmark::State& state) {
   const bool use_arena = state.range(0) != 0;
   for (auto _ : state) {
     const SweepCell cell =
-        run_sweep(trials, use_arena ? kArenaPath : nullptr, 0, 0);
+        run_sweep(trials, use_arena ? kArenaPath : nullptr, 0);
     benchmark::DoNotOptimize(cell.sweep.evidence_digest);
   }
   state.SetItemsProcessed(state.iterations() * trials);

@@ -1,27 +1,15 @@
-// Experiment E8 — the parallel batch-simulation engine, measured.
+// Experiment E12 — stable-storage hot path.
 //
-// Three questions, answered with numbers:
-//   1. How does the 20k-trial Monte-Carlo dependability sweep scale with
-//      worker threads (the engine's flagship consumer)? The report prints
-//      wall-clock per thread count plus the speedup over serial, and
-//      asserts (by checksum) that every thread count produced bit-identical
-//      estimates — the determinism contract, visible in the perf artifact
-//      itself.
-//   2. What does the flat sorted-vector stable storage buy on the per-frame
-//      read/commit hot path, across realistic key counts?
-//   3. What does a whole-mission sweep cost per mission when fanned out?
+// What does the flat sorted-vector stable storage cost on the per-frame
+// read/commit hot path, across realistic key counts? No other bench
+// measures it; the estimator-by-threads timings are E17's (bench_fleet).
 //
 // Emit machine-readable numbers for the perf trajectory with:
 //   bench_batch --benchmark_out=BENCH_parallel.json --benchmark_out_format=json
-#include <chrono>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "arfs/analysis/dependability.hpp"
-#include "arfs/sim/batch.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "bench_main.hpp"
 
@@ -29,75 +17,16 @@ namespace {
 
 using namespace arfs;
 
-double time_estimate_ms(std::size_t threads,
-                        analysis::DependabilityEstimate* out) {
-  const analysis::DesignPair pair = analysis::section51_designs(4, 2, 2);
-  analysis::MissionParams mission;
-  mission.mission_hours = 10.0;
-  mission.failure_rate_per_hour = 0.05;
-  mission.trials = 20'000;
-
-  sim::BatchRunner runner{sim::BatchOptions{threads, 0}};
-  Rng rng(42);
-  const auto start = std::chrono::steady_clock::now();
-  *out = analysis::estimate_dependability(pair.reconfig, mission, rng, runner);
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
 void report() {
-  bench::banner("E12: parallel batch engine",
-                "dependability sweeps at scale (sections 5.1/7)");
-  std::cout << "20k Monte-Carlo trials, identical base seed per row; the\n"
-            << "estimate column must not vary with the thread count.\n"
-            << "(hardware_concurrency = "
-            << sim::ThreadPool::default_thread_count() << ")\n\n";
-  std::cout << std::left << std::setw(10) << "threads" << std::setw(14)
-            << "wall (ms)" << std::setw(10) << "speedup" << "P(loss)\n";
-
-  analysis::DependabilityEstimate reference;
-  const double serial_ms = time_estimate_ms(1, &reference);
-  std::cout << std::left << std::setw(10) << 1 << std::setw(14) << std::fixed
-            << std::setprecision(2) << serial_ms << std::setw(10) << "1.00x"
-            << std::setprecision(6) << reference.p_loss << "\n";
-
-  bool identical = true;
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    analysis::DependabilityEstimate e;
-    const double ms = time_estimate_ms(threads, &e);
-    identical = identical && e.p_loss == reference.p_loss &&
-                e.full_service_fraction == reference.full_service_fraction &&
-                e.mean_failures == reference.mean_failures;
-    std::ostringstream speedup;
-    speedup << std::fixed << std::setprecision(2) << serial_ms / ms << "x";
-    std::cout << std::left << std::setw(10) << threads << std::setw(14)
-              << std::fixed << std::setprecision(2) << ms << std::setw(10)
-              << speedup.str() << std::setprecision(6) << e.p_loss << "\n";
-  }
-  std::cout << "\nbit-identical across thread counts: "
-            << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n\n";
+  bench::banner("E12: stable-storage hot path",
+                "the fail-stop processor's per-frame stable-storage commit");
+  std::cout << "bm_storage_commit/N: one frame's commit of N staged updates\n"
+            << "over N committed keys; bm_storage_read/N: one read among N\n"
+            << "committed keys. Run without --benchmark_filter=none to time\n"
+            << "them.\n\n";
 }
 
 // --- google-benchmark timings for the perf trajectory ---
-
-void bm_dependability(benchmark::State& state) {
-  const analysis::DesignPair pair = analysis::section51_designs(4, 2, 2);
-  analysis::MissionParams mission;
-  mission.failure_rate_per_hour = 0.05;
-  mission.trials = 20'000;
-  sim::BatchRunner runner{
-      sim::BatchOptions{static_cast<std::size_t>(state.range(0)), 0}};
-  Rng rng(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::estimate_dependability(pair.reconfig, mission, rng, runner)
-            .p_loss);
-  }
-  state.SetItemsProcessed(state.iterations() * mission.trials);
-  state.SetLabel(std::to_string(state.range(0)) + " thread(s), 20k trials");
-}
-BENCHMARK(bm_dependability)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void bm_storage_commit(benchmark::State& state) {
   // One simulated frame's commit: `keys` staged writes over an existing

@@ -49,8 +49,9 @@ void report() {
 
   const DesignPair pair = section51_designs(4, 2, 2);
   // Each rate cell is an independent 2x50k-trial mission — fan the grid
-  // across the batch engine (each estimate also parallelizes its own
-  // trials; the row order and values are thread-count invariant).
+  // across the shared fleet engine. Inside a cell the estimates run on a
+  // 1-thread engine of their own (the shared pool is not reentrant); the
+  // row order and values are thread-count invariant.
   const std::vector<double> rates{0.001, 0.01, 0.05, 0.1};
   struct Row {
     DependabilityEstimate mask;
@@ -60,12 +61,12 @@ void report() {
       [&](const support::MissionJob& job) {
         Rng rng_a(100);
         Rng rng_b(100);
-        sim::BatchRunner inline_runner{sim::BatchOptions{1, 0}};
+        sim::FleetRunner inline_fleet{sim::FleetOptions{1}};
         return Row{estimate_dependability(pair.masking, mission(rates[job.index]),
-                                          rng_a, inline_runner),
+                                          rng_a, inline_fleet),
                    estimate_dependability(pair.reconfig,
                                           mission(rates[job.index]), rng_b,
-                                          inline_runner)};
+                                          inline_fleet)};
       };
   const std::vector<Row> rows =
       support::run_mission_sweep<Row>(rates.size(), 0, fly);

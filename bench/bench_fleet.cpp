@@ -1,11 +1,10 @@
-// Experiment E17 — fleet-scale sharded Monte-Carlo engine.
+// Experiment E17 — fleet-scale chunked Monte-Carlo engine.
 //
 // Two perf claims, both with the determinism contract on top:
 //   * scaling: estimate_dependability streamed through sim::FleetRunner
 //     sustains near-linear thread scaling to 10^6 mission samples, and the
-//     estimate digest is bit-identical to the serial BatchRunner oracle at
-//     every (threads, shards) point — sharding moves accumulator locality,
-//     never results;
+//     estimate digest is bit-identical to the 1-thread serial oracle at
+//     every thread count;
 //   * pool reuse: run_fleet_missions with checkpoint-seeded system pools
 //     (SystemCheckpoint::restore() per sample) beats construct-per-sample
 //     by the cost ratio of a restore to a full build + warm-up replay,
@@ -26,7 +25,6 @@
 
 #include "arfs/analysis/dependability.hpp"
 #include "arfs/core/system.hpp"
-#include "arfs/sim/batch.hpp"
 #include "arfs/sim/fleet.hpp"
 #include "arfs/support/fleet.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -93,9 +91,10 @@ void report_mc_scaling() {
   const analysis::DesignPair pair = analysis::section51_designs(4, 2, 2);
   const analysis::MissionParams mission = mc_mission(trials);
 
-  // Serial oracle: the historical BatchRunner path on one thread.
+  // Serial oracle: the engine on one thread, where every chunk runs inline
+  // on the caller in chunk order.
   Rng oracle_rng(42);
-  sim::BatchRunner serial{sim::BatchOptions{1, 0}};
+  sim::FleetRunner serial{sim::FleetOptions{1}};
   auto start = std::chrono::steady_clock::now();
   const analysis::DependabilityEstimate oracle =
       analysis::estimate_dependability(pair.reconfig, mission, oracle_rng,
@@ -108,48 +107,38 @@ void report_mc_scaling() {
             << "serial oracle: " << std::fixed << std::setprecision(1)
             << serial_ms << " ms, digest " << std::hex << oracle_digest
             << std::dec << "\n\n";
-  std::cout << std::left << std::setw(9) << "threads" << std::setw(8)
-            << "shards" << std::setw(14) << "wall (ms)" << std::setw(16)
-            << "samples/sec" << std::setw(10) << "speedup"
-            << "digest==oracle\n";
+  std::cout << std::left << std::setw(9) << "threads" << std::setw(14)
+            << "wall (ms)" << std::setw(16) << "samples/sec" << std::setw(10)
+            << "speedup" << "digest==oracle\n";
 
   double base_ms = 0.0;  // 1-thread fleet wall time, speedup denominator
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t shards : {1u, 4u, 16u, 0u}) {  // 0 = auto ≈ √chunks
-      sim::FleetOptions options;
-      options.threads = threads;
-      options.shards = shards;
-      sim::FleetRunner fleet(options);
-      Rng rng(42);  // same root seed → same base_seed → comparable digest
-      start = std::chrono::steady_clock::now();
-      const analysis::DependabilityEstimate estimate =
-          analysis::estimate_dependability(pair.reconfig, mission, rng,
-                                           fleet);
-      const double ms = wall_ms(start);
-      if (threads == 1 && shards == 1) base_ms = ms;
-      const bool equal = estimate.digest() == oracle_digest;
-      const double rate = ms > 0 ? trials / ms * 1e3 : 0.0;
-      const double speedup = ms > 0 ? base_ms / ms : 0.0;
-      const std::string shard_label =
-          shards == 0 ? "auto" : std::to_string(shards);
-      std::cout << std::left << std::setw(9) << threads << std::setw(8)
-                << shard_label << std::setw(14) << std::fixed
-                << std::setprecision(1) << ms << std::setw(16)
-                << std::setprecision(0) << rate << std::setw(10)
-                << std::setprecision(2) << speedup << (equal ? "yes" : "NO")
-                << "\n";
+    sim::FleetOptions options;
+    options.threads = threads;
+    sim::FleetRunner fleet(options);
+    Rng rng(42);  // same root seed → same base_seed → comparable digest
+    start = std::chrono::steady_clock::now();
+    const analysis::DependabilityEstimate estimate =
+        analysis::estimate_dependability(pair.reconfig, mission, rng, fleet);
+    const double ms = wall_ms(start);
+    if (threads == 1) base_ms = ms;
+    const bool equal = estimate.digest() == oracle_digest;
+    const double rate = ms > 0 ? trials / ms * 1e3 : 0.0;
+    const double speedup = ms > 0 ? base_ms / ms : 0.0;
+    std::cout << std::left << std::setw(9) << threads << std::setw(14)
+              << std::fixed << std::setprecision(1) << ms << std::setw(16)
+              << std::setprecision(0) << rate << std::setw(10)
+              << std::setprecision(2) << speedup << (equal ? "yes" : "NO")
+              << "\n";
 
-      const std::string cell =
-          "fleet/mc/t" + std::to_string(threads) + "/s" + shard_label;
-      bench::trajectory().record(cell + "/samples_per_sec", rate, "1/s");
-      bench::trajectory().record(cell + "/speedup", speedup, "x");
-      bench::trajectory().record(cell + "/digest_equal", equal ? 1 : 0,
-                                 "bool");
-    }
+    const std::string cell = "fleet/mc/t" + std::to_string(threads);
+    bench::trajectory().record(cell + "/samples_per_sec", rate, "1/s");
+    bench::trajectory().record(cell + "/speedup", speedup, "x");
+    bench::trajectory().record(cell + "/digest_equal", equal ? 1 : 0, "bool");
   }
   bench::trajectory().record("fleet/mc/samples", trials, "samples");
-  std::cout << "\n(digest == oracle at every cell is the contract: thread\n"
-               " and shard counts move work, never results)\n\n";
+  std::cout << "\n(digest == oracle at every thread count is the contract:\n"
+               " threads move work, never results)\n\n";
 }
 
 void report_pool_ablation() {
@@ -277,7 +266,7 @@ void report_pool_ablation() {
 }
 
 void report() {
-  bench::banner("E17: fleet-scale sharded Monte-Carlo engine",
+  bench::banner("E17: fleet-scale chunked Monte-Carlo engine",
                 "ROADMAP north-star: fleet-scale schedule coverage");
   report_mc_scaling();
   report_pool_ablation();

@@ -25,16 +25,9 @@ CertificationReport certify(const core::ReconfigSpec& spec,
     return report;  // nothing else is meaningful on a malformed spec
   }
 
-  if (options.fleet != nullptr) {
-    report.coverage = check_coverage(spec, /*keep_discharged=*/false,
-                                     /*env_limit=*/1u << 20, *options.fleet);
-  } else {
-    sim::BatchRunner& runner = options.runner != nullptr
-                                   ? *options.runner
-                                   : sim::BatchRunner::shared();
-    report.coverage = check_coverage(spec, /*keep_discharged=*/false,
-                                     /*env_limit=*/1u << 20, &runner);
-  }
+  report.coverage = check_coverage(
+      spec, /*keep_discharged=*/false, /*env_limit=*/1u << 20,
+      options.fleet != nullptr ? *options.fleet : sim::FleetRunner::shared());
 
   const TransitionGraph graph = TransitionGraph::build(spec);
   report.transition_edges = graph.edges().size();

@@ -32,12 +32,9 @@ struct CertifyOptions {
   /// Whether a cyclic transition graph without a dwell rule fails
   /// certification (the §5.3 caveat). Default: it does.
   bool require_dwell_for_cycles = true;
-  /// Runner for the per-configuration coverage sweep (the hot part of
-  /// certification on large specs). Null = the shared process-wide runner;
-  /// the report is identical at any thread count.
-  sim::BatchRunner* runner = nullptr;
-  /// When set, the coverage sweep rides the sharded fleet engine instead of
-  /// `runner` (same report — fleet results merge in configuration order).
+  /// Engine for the per-configuration coverage sweep (the hot part of
+  /// certification on large specs). Null = sim::FleetRunner::shared(); the
+  /// report is identical at any thread count.
   sim::FleetRunner* fleet = nullptr;
 };
 

@@ -72,7 +72,7 @@ std::vector<ConfigId> config_list(const core::ReconfigSpec& spec) {
 
 /// The global obligations appended after the per-configuration sweep: a
 /// safe configuration exists, and one stays reachable from everywhere the
-/// initial configuration can go. Shared by every execution engine.
+/// initial configuration can go.
 void add_global_obligations(CoverageReport& report,
                             const core::ReconfigSpec& spec,
                             bool keep_discharged, std::size_t env_limit) {
@@ -90,14 +90,6 @@ void add_global_obligations(CoverageReport& report,
   }
 }
 
-/// Arena row for the fleet path: one starting configuration's obligation
-/// counts (trivially copyable — the full Obligation strings are only
-/// re-derived for the rare failing configurations).
-struct ConfigTally {
-  std::uint64_t generated = 0;
-  std::uint64_t discharged = 0;
-};
-
 }  // namespace
 
 std::vector<Obligation> CoverageReport::failures() const {
@@ -110,35 +102,6 @@ std::vector<Obligation> CoverageReport::failures() const {
 
 CoverageReport check_coverage(const core::ReconfigSpec& spec,
                               bool keep_discharged, std::size_t env_limit,
-                              sim::BatchRunner* runner) {
-  CoverageReport report;
-
-  const std::vector<env::EnvState> states =
-      spec.factors().enumerate_states(env_limit);
-  const std::vector<ConfigId> config_ids = config_list(spec);
-
-  // One job per starting configuration; partial reports are merged back in
-  // configuration order, so the parallel report is identical to the serial
-  // one (choose functions are required to be pure, making the jobs
-  // side-effect free).
-  std::vector<CoverageReport> parts(config_ids.size());
-  const auto sweep_one = [&](std::size_t i) {
-    parts[i] =
-        check_config_transitions(spec, config_ids[i], states, keep_discharged);
-  };
-  if (runner != nullptr) {
-    runner->run(config_ids.size(), sweep_one);
-  } else {
-    for (std::size_t i = 0; i < config_ids.size(); ++i) sweep_one(i);
-  }
-  for (CoverageReport& part : parts) merge(report, std::move(part));
-
-  add_global_obligations(report, spec, keep_discharged, env_limit);
-  return report;
-}
-
-CoverageReport check_coverage(const core::ReconfigSpec& spec,
-                              bool keep_discharged, std::size_t env_limit,
                               sim::FleetRunner& fleet) {
   CoverageReport report;
 
@@ -146,45 +109,16 @@ CoverageReport check_coverage(const core::ReconfigSpec& spec,
       spec.factors().enumerate_states(env_limit);
   const std::vector<ConfigId> config_ids = config_list(spec);
 
-  // Fleet path: configurations are heavyweight jobs (chunk grain 1) with
-  // shard-local result caches concatenated in configuration order — the
-  // report is identical to the serial and BatchRunner paths. The jobs are
-  // pure, so the sample seeds go unused.
-  storage::MappedArena* arena = fleet.options().arena;
-  if (arena != nullptr && !keep_discharged) {
-    // Arena path (counts-only sweeps): each configuration materializes a
-    // 16-byte tally row instead of a CoverageReport, so the sweep's RSS is
-    // bounded regardless of configuration count. Obligation text is only
-    // needed for failures, which are re-derived serially in configuration
-    // order — the jobs are pure, so the re-run sees identical obligations
-    // and the report matches the in-RAM path exactly.
-    sim::ArenaCursor<ConfigTally> cursor = fleet.map_arena<ConfigTally>(
-        config_ids.size(), /*base_seed=*/0,
-        [&](const sim::FleetSample& job) {
-          const CoverageReport part = check_config_transitions(
-              spec, config_ids[job.index], states, /*keep_discharged=*/false);
-          return ConfigTally{part.generated, part.discharged};
-        },
-        *arena);
-    cursor.for_each([&](const ConfigTally& tally, std::size_t i) {
-      report.generated += tally.generated;
-      report.discharged += tally.discharged;
-      if (tally.discharged != tally.generated) {
-        merge(report, check_config_transitions(spec, config_ids[i], states,
-                                               /*keep_discharged=*/false));
-        report.generated -= tally.generated;
-        report.discharged -= tally.discharged;
-      }
-    });
-  } else {
-    std::vector<CoverageReport> parts = fleet.map<CoverageReport>(
-        config_ids.size(), /*base_seed=*/0,
-        [&](const sim::FleetSample& job) {
-          return check_config_transitions(spec, config_ids[job.index], states,
-                                          keep_discharged);
-        });
-    for (CoverageReport& part : parts) merge(report, std::move(part));
-  }
+  // One job per starting configuration; partial reports come back in
+  // configuration order, so the report is identical at any thread count
+  // (choose functions are required to be pure, making the jobs side-effect
+  // free). The jobs draw no randomness, so the sample seeds go unused.
+  std::vector<CoverageReport> parts = fleet.map<CoverageReport>(
+      config_ids.size(), /*base_seed=*/0, [&](const sim::FleetSample& job) {
+        return check_config_transitions(spec, config_ids[job.index], states,
+                                        keep_discharged);
+      });
+  for (CoverageReport& part : parts) merge(report, std::move(part));
 
   add_global_obligations(report, spec, keep_discharged, env_limit);
   return report;

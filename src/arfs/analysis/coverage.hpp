@@ -23,7 +23,6 @@
 
 #include "arfs/analysis/graph.hpp"
 #include "arfs/core/reconfig_spec.hpp"
-#include "arfs/sim/batch.hpp"
 #include "arfs/sim/fleet.hpp"
 
 namespace arfs::analysis {
@@ -46,20 +45,12 @@ struct CoverageReport {
 
 /// Evaluates all coverage obligations. `keep_discharged` controls whether
 /// discharged obligations are materialized in the report (large sweeps only
-/// need the counts). When `runner` is non-null the per-configuration sweep
-/// fans out across its threads; the report is identical either way (choose
-/// functions must be pure).
-[[nodiscard]] CoverageReport check_coverage(const core::ReconfigSpec& spec,
-                                            bool keep_discharged = false,
-                                            std::size_t env_limit = 1u << 20,
-                                            sim::BatchRunner* runner = nullptr);
-
-/// Fleet path: the per-configuration sweep fans out as fleet jobs with
-/// shard-local result caches merged in configuration order — the report is
-/// identical to the serial and BatchRunner paths.
-[[nodiscard]] CoverageReport check_coverage(const core::ReconfigSpec& spec,
-                                            bool keep_discharged,
-                                            std::size_t env_limit,
-                                            sim::FleetRunner& fleet);
+/// need the counts). The per-configuration sweep fans out as `fleet` jobs
+/// whose reports merge in configuration order, so the report is identical
+/// at any thread count (choose functions must be pure).
+[[nodiscard]] CoverageReport check_coverage(
+    const core::ReconfigSpec& spec, bool keep_discharged = false,
+    std::size_t env_limit = 1u << 20,
+    sim::FleetRunner& fleet = sim::FleetRunner::shared());
 
 }  // namespace arfs::analysis

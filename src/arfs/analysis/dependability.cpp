@@ -11,18 +11,11 @@ namespace arfs::analysis {
 
 namespace {
 
-/// Trials are accumulated in fixed-size chunks and the chunk partials are
-/// reduced in chunk order. Because the chunk size is a constant (not derived
-/// from the thread count), the floating-point additions happen in exactly
-/// the same order at every thread count — which is what makes the parallel
-/// estimate bit-identical to the serial one.
-constexpr std::uint32_t kTrialChunk = 1024;
-// The fleet engine's default chunk must stay equal to the serial trial
-// chunk — it is what makes the fleet estimate reproduce the BatchRunner
-// oracle bit for bit (same partial boundaries, same fold order).
-static_assert(kTrialChunk == sim::kFleetChunk);
-
-/// Raw (un-normalized) accumulator over one chunk of trials.
+/// Raw (un-normalized) accumulator over one chunk of trials. Trials are
+/// accumulated in fixed-size fleet chunks and the chunk partials are
+/// reduced in chunk order; because the chunk size is not derived from the
+/// thread count, the floating-point additions happen in exactly the same
+/// order at every thread count.
 struct Partial {
   double p_full = 0.0;
   double p_safe = 0.0;
@@ -34,9 +27,8 @@ struct Partial {
 
 /// One Monte-Carlo trial, folded into `out`. `failure_times` is caller-owned
 /// scratch (hoisted out of the trial loop — allocated once per chunk, not
-/// per sample) and is the shared kernel of both execution engines: the
-/// BatchRunner oracle and the sharded fleet path call exactly this code, so
-/// their estimates can only differ in reduction order.
+/// per sample) and is the shared kernel of the estimate and its evidence
+/// rows.
 void simulate_trial(const DesignUnits& design, const MissionParams& mission,
                     std::uint64_t seed, std::vector<double>& failure_times,
                     Partial& out) {
@@ -93,19 +85,6 @@ void simulate_trial(const DesignUnits& design, const MissionParams& mission,
   out.safe_fraction += safe_time / T;
 }
 
-Partial simulate_trials(const DesignUnits& design, const MissionParams& mission,
-                        std::uint64_t base_seed, std::uint32_t first_trial,
-                        std::uint32_t end_trial) {
-  Partial out;
-  std::vector<double> failure_times;
-  failure_times.reserve(static_cast<std::size_t>(design.total));
-  for (std::uint32_t trial = first_trial; trial < end_trial; ++trial) {
-    simulate_trial(design, mission, sim::job_seed(base_seed, trial),
-                   failure_times, out);
-  }
-  return out;
-}
-
 void check_params(const DesignUnits& design, const MissionParams& mission) {
   require(design.safe >= 1 && design.safe <= design.full &&
               design.full <= design.total,
@@ -115,8 +94,8 @@ void check_params(const DesignUnits& design, const MissionParams& mission) {
   require(mission.failure_rate_per_hour >= 0, "negative failure rate");
 }
 
-/// Shared final division — both engines normalize through the identical
-/// arithmetic, in the identical field order.
+/// Shared final division — the estimate and the evidence sweep normalize
+/// through the identical arithmetic, in the identical field order.
 DependabilityEstimate normalize(const Partial& sum, std::uint32_t trials) {
   DependabilityEstimate out;
   out.p_full_whole_mission = sum.p_full;
@@ -133,6 +112,18 @@ DependabilityEstimate normalize(const Partial& sum, std::uint32_t trials) {
   out.safe_or_better_fraction /= n;
   out.mean_failures /= n;
   return out;
+}
+
+/// Folds a chunk partial into the running sum. The field order is the
+/// invariant: the estimate and the evidence sweep add in exactly this
+/// sequence.
+void fold_chunk(const Partial& part, Partial& sum) {
+  sum.p_full += part.p_full;
+  sum.p_safe += part.p_safe;
+  sum.p_loss += part.p_loss;
+  sum.full_fraction += part.full_fraction;
+  sum.safe_fraction += part.safe_fraction;
+  sum.failures += part.failures;
 }
 
 inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
@@ -158,38 +149,6 @@ std::uint64_t DependabilityEstimate::digest() const {
 DependabilityEstimate estimate_dependability(const DesignUnits& design,
                                              const MissionParams& mission,
                                              Rng& rng,
-                                             sim::BatchRunner& runner) {
-  check_params(design, mission);
-
-  // One draw from the caller's stream roots the whole batch; every trial
-  // seed derives from (base_seed, trial index) alone.
-  const std::uint64_t base_seed = rng.next_u64();
-
-  const std::size_t chunks =
-      (mission.trials + kTrialChunk - 1) / kTrialChunk;
-  std::vector<Partial> partials(chunks);
-  runner.run(chunks, [&](std::size_t c) {
-    const std::uint32_t first = static_cast<std::uint32_t>(c) * kTrialChunk;
-    const std::uint32_t end =
-        std::min(first + kTrialChunk, mission.trials);
-    partials[c] = simulate_trials(design, mission, base_seed, first, end);
-  });
-
-  Partial sum;
-  for (const Partial& p : partials) {  // chunk order: deterministic reduce
-    sum.p_full += p.p_full;
-    sum.p_safe += p.p_safe;
-    sum.p_loss += p.p_loss;
-    sum.full_fraction += p.full_fraction;
-    sum.safe_fraction += p.safe_fraction;
-    sum.failures += p.failures;
-  }
-  return normalize(sum, mission.trials);
-}
-
-DependabilityEstimate estimate_dependability(const DesignUnits& design,
-                                             const MissionParams& mission,
-                                             Rng& rng,
                                              sim::FleetRunner& fleet) {
   check_params(design, mission);
   const std::uint64_t base_seed = rng.next_u64();
@@ -210,23 +169,9 @@ DependabilityEstimate estimate_dependability(const DesignUnits& design,
                        acc.partial);
       },
       [](TrialAcc& into, TrialAcc& part) {
-        // Field order matches the serial chunk fold above exactly — the
-        // floating-point addition sequence is the invariant.
-        into.partial.p_full += part.partial.p_full;
-        into.partial.p_safe += part.partial.p_safe;
-        into.partial.p_loss += part.partial.p_loss;
-        into.partial.full_fraction += part.partial.full_fraction;
-        into.partial.safe_fraction += part.partial.safe_fraction;
-        into.partial.failures += part.partial.failures;
+        fold_chunk(part.partial, into.partial);
       });
   return normalize(total.partial, mission.trials);
-}
-
-DependabilityEstimate estimate_dependability(const DesignUnits& design,
-                                             const MissionParams& mission,
-                                             Rng& rng) {
-  return estimate_dependability(design, mission, rng,
-                                sim::BatchRunner::shared());
 }
 
 namespace {
@@ -265,17 +210,6 @@ void fold_row(const TrialEvidence& row, Partial& acc) {
   acc.full_fraction += row.full_fraction;
   acc.safe_fraction += row.safe_fraction;
   acc.failures += row.failures;
-}
-
-/// Folds a chunk partial into the running sum — the identical field order
-/// of the serial reduce and the fleet fold above.
-void fold_chunk(const Partial& part, Partial& sum) {
-  sum.p_full += part.p_full;
-  sum.p_safe += part.p_safe;
-  sum.p_loss += part.p_loss;
-  sum.full_fraction += part.full_fraction;
-  sum.safe_fraction += part.safe_fraction;
-  sum.failures += part.failures;
 }
 
 void digest_row(std::uint64_t& h, const TrialEvidence& row) {
@@ -322,17 +256,15 @@ EvidenceSweep estimate_dependability_evidence(const DesignUnits& design,
         });
   } else {
     // In-RAM baseline: same rows, same fold, heap-resident (linear RSS).
-    const sim::ShardPlan p = fleet.plan(mission.trials);
+    const sim::ChunkPlan p = fleet.plan(mission.trials);
     std::vector<TrialEvidence> rows(mission.trials);
-    fleet.run_plan(p, [&](std::size_t, std::size_t shard, std::size_t first,
-                          std::size_t end) {
+    fleet.run_plan(p, [&](std::size_t, std::size_t first, std::size_t end) {
       for (std::size_t i = first; i < end; ++i) {
-        rows[i] = row_fn(sim::FleetSample{i, sim::job_seed(base_seed, i),
-                                          shard});
+        rows[i] = row_fn(sim::FleetSample{i, sim::job_seed(base_seed, i)});
       }
     });
     for (std::size_t c = 0; c < p.chunks(); ++c) {
-      const sim::ShardPlan::Range r = p.samples_of_chunk(c);
+      const sim::ChunkPlan::Range r = p.samples_of_chunk(c);
       Partial chunk;
       for (std::size_t i = r.first; i < r.end; ++i) {
         fold_row(rows[i], chunk);

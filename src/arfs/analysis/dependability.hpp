@@ -15,17 +15,16 @@
 // level, so equal-hardware and equal-dependability comparisons can both be
 // read off.
 //
-// Trials are independent and run in parallel on a sim::BatchRunner. Each
-// trial draws from its own RNG stream seeded by sim::job_seed(base, trial),
-// where `base` is one draw from the caller's Rng, and partial sums are
-// reduced in a fixed chunk order — so the estimate is bit-identical at any
+// Trials are independent and stream through sim::FleetRunner. Each trial
+// draws from its own RNG stream seeded by sim::job_seed(base, trial), where
+// `base` is one draw from the caller's Rng, and chunk partial sums are
+// reduced in global chunk order — so the estimate is bit-identical at any
 // thread count (including 1) for a given caller seed.
 #pragma once
 
 #include <cstdint>
 
 #include "arfs/common/rng.hpp"
-#include "arfs/sim/batch.hpp"
 #include "arfs/sim/fleet.hpp"
 
 namespace arfs::analysis {
@@ -53,32 +52,22 @@ struct DependabilityEstimate {
   double mean_failures = 0.0;
 
   /// Order-sensitive FNV-1a digest over the bit patterns of all six
-  /// fields — one number to compare estimates across execution engines
-  /// and (threads, shards) configurations for exact equality.
+  /// fields — one number to compare estimates across thread counts and
+  /// storage backends for exact equality.
   [[nodiscard]] std::uint64_t digest() const;
 };
 
-/// Runs the Monte-Carlo estimate for one design on an explicit runner.
+/// Runs the Monte-Carlo estimate for one design, streaming the trials
+/// through `fleet` in per-chunk accumulators (no shared mutex on the trial
+/// path, memory bounded by the chunk count). The estimate is bit-identical
+/// at every thread count; tests pin its digests at the default chunk
+/// (sim::kFleetChunk). A custom chunk changes the (equally valid)
+/// reduction order.
 /// Preconditions: 0 < safe <= full <= total, positive mission and trials.
-/// Consumes exactly one draw from `rng` (the batch's base seed).
+/// Consumes exactly one draw from `rng` (the run's base seed).
 [[nodiscard]] DependabilityEstimate estimate_dependability(
     const DesignUnits& design, const MissionParams& mission, Rng& rng,
-    sim::BatchRunner& runner);
-
-/// Same, on the process-wide shared runner (ARFS_THREADS / hardware-sized).
-[[nodiscard]] DependabilityEstimate estimate_dependability(
-    const DesignUnits& design, const MissionParams& mission, Rng& rng);
-
-/// Fleet path: streams the trials through the sharded fleet engine with
-/// per-shard accumulator caches (no shared mutex on the trial path) and
-/// bounded memory — the 10^6+-trial route. At the fleet's default chunk
-/// (sim::kFleetChunk == the serial trial chunk) the estimate is
-/// bit-identical to the BatchRunner oracle above at every thread and shard
-/// count; a custom chunk changes the (equally valid) reduction order.
-/// Consumes exactly one draw from `rng`, like the oracle.
-[[nodiscard]] DependabilityEstimate estimate_dependability(
-    const DesignUnits& design, const MissionParams& mission, Rng& rng,
-    sim::FleetRunner& fleet);
+    sim::FleetRunner& fleet = sim::FleetRunner::shared());
 
 /// One Monte-Carlo trial's audit row — the per-sample evidence behind an
 /// estimate, compact (32 bytes) and trivially copyable so sweeps can
@@ -102,15 +91,15 @@ struct EvidenceSweep {
   DependabilityEstimate estimate;
   std::uint64_t rows = 0;
   /// Order-sensitive FNV-1a over every row's bit patterns in global trial
-  /// order — invariant across threads, shards, and storage backend.
+  /// order — invariant across thread counts and storage backend.
   std::uint64_t evidence_digest = 0;
   bool arena_backed = false;  ///< Rows went through fleet.options().arena.
 };
 
 /// The evidence-producing estimator: materializes one TrialEvidence row per
 /// trial and re-derives the estimate by folding the rows in global chunk
-/// order — `estimate` is bit-identical (same digest) to the plain fleet
-/// path above at the same chunk grain. With `fleet.options().arena` set the
+/// order — `estimate` is bit-identical (same digest) to
+/// estimate_dependability above at the same chunk grain. With `fleet.options().arena` set the
 /// rows stream through arena regions (peak RSS bounded by in-flight chunks,
 /// rows retained in the arena file as the audit artifact); otherwise they
 /// are held in RAM. Consumes exactly one draw from `rng` either way.

@@ -1,8 +1,10 @@
-// Parallel batch-simulation engine.
+// Parallel job fan-out: the layer under the fleet engine.
 //
 // The repo's heavy analyses — Monte-Carlo dependability sweeps, mission
-// replays, certification sweeps — are sets of *independent* jobs. BatchRunner
-// fans such jobs across a fixed ThreadPool with two guarantees:
+// replays, certification sweeps — are sets of *independent* jobs. They run
+// through sim::FleetRunner (fleet.hpp), which owns one BatchRunner and adds
+// the chunked reduction; the crash sweep takes a BatchRunner directly.
+// BatchRunner fans jobs across a fixed ThreadPool with two guarantees:
 //
 //   1. Deterministic seeding: job_seed(base_seed, index) derives one
 //      independent SplitMix64 stream per job, so a job's randomness depends
@@ -40,19 +42,15 @@ namespace arfs::sim {
 }
 
 struct BatchOptions {
-  /// Worker count including the calling thread. 0 = the ARFS_THREADS
-  /// environment override if set, else hardware_concurrency().
+  /// Worker count including the calling thread, at most kMaxThreads. 0 =
+  /// the ARFS_THREADS environment override if valid, else
+  /// hardware_concurrency().
   std::size_t threads = 0;
-  /// Jobs handed to a worker per grab. 0 = automatic (jobs / (8 * threads),
-  /// clamped to >= 1). Chunking affects scheduling granularity only, never
-  /// results.
-  std::size_t chunk = 0;
 };
 
 class BatchRunner {
  public:
-  explicit BatchRunner(BatchOptions options = {})
-      : options_(options), pool_(options.threads) {}
+  explicit BatchRunner(BatchOptions options = {}) : pool_(options.threads) {}
 
   [[nodiscard]] std::size_t thread_count() const { return pool_.size(); }
 
@@ -78,19 +76,14 @@ class BatchRunner {
     return out;
   }
 
-  /// Process-wide default runner (ARFS_THREADS / hardware-sized), shared by
-  /// analyses that are not handed an explicit runner. Constructed on first
-  /// use; safe to use from the main thread of any analysis.
-  [[nodiscard]] static BatchRunner& shared();
-
  private:
+  /// Jobs handed to a worker per grab: jobs / (8 * threads), at least 1.
+  /// Chunking affects scheduling granularity only, never results.
   [[nodiscard]] std::size_t chunk_for(std::size_t jobs) const {
-    if (options_.chunk > 0) return options_.chunk;
     const std::size_t target = pool_.size() * 8;
     return jobs > target ? jobs / target : 1;
   }
 
-  BatchOptions options_;
   ThreadPool pool_;
 };
 

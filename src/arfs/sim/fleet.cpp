@@ -11,47 +11,24 @@ Cycle auto_stride(Cycle n) {
   return std::max<Cycle>(1, s);
 }
 
-ShardPlan ShardPlan::make(std::size_t samples, std::size_t chunk,
-                          std::size_t shards_requested) {
+ChunkPlan ChunkPlan::make(std::size_t samples, std::size_t chunk) {
   require(chunk > 0, "fleet chunk must be positive");
-  ShardPlan p;
+  ChunkPlan p;
   p.samples_ = samples;
   p.chunk_ = chunk;
   p.chunks_ = (samples + chunk - 1) / chunk;
-  const std::size_t limit = std::max<std::size_t>(p.chunks_, 1);
-  const std::size_t wanted =
-      shards_requested > 0
-          ? shards_requested
-          : static_cast<std::size_t>(auto_stride(p.chunks_));
-  p.shards_ = std::clamp<std::size_t>(wanted, 1, limit);
   return p;
 }
 
-ShardPlan::Range ShardPlan::samples_of_chunk(std::size_t c) const {
+ChunkPlan::Range ChunkPlan::samples_of_chunk(std::size_t c) const {
   require(c < chunks_, "chunk index out of range");
   const std::size_t first = c * chunk_;
   return Range{first, std::min(first + chunk_, samples_)};
 }
 
-ShardPlan::Range ShardPlan::chunks_of_shard(std::size_t s) const {
-  require(s < shards_, "shard index out of range");
-  // Balanced contiguous split: the first `chunks % shards` shards own one
-  // extra chunk. Contiguity is load-bearing — it is what makes the
-  // shard-ordered merge equal the global chunk-order fold.
-  const std::size_t base = chunks_ / shards_;
-  const std::size_t extra = chunks_ % shards_;
-  const std::size_t first = s * base + std::min(s, extra);
-  return Range{first, first + base + (s < extra ? 1 : 0)};
-}
-
-std::size_t ShardPlan::shard_of_chunk(std::size_t c) const {
-  require(c < chunks_, "chunk index out of range");
-  const std::size_t base = chunks_ / shards_;
-  const std::size_t extra = chunks_ % shards_;
-  // Chunks [0, extra·(base+1)) live in the oversized shards.
-  const std::size_t pivot = extra * (base + 1);
-  if (c < pivot) return c / (base + 1);
-  return extra + (c - pivot) / base;
+FleetRunner& FleetRunner::shared() {
+  static FleetRunner runner;
+  return runner;
 }
 
 }  // namespace arfs::sim

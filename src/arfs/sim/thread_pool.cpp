@@ -1,6 +1,9 @@
 #include "arfs/sim/thread_pool.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
 
 #include "arfs/common/check.hpp"
 
@@ -8,16 +11,22 @@ namespace arfs::sim {
 
 std::size_t ThreadPool::default_thread_count() {
   if (const char* env = std::getenv("ARFS_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) return static_cast<std::size_t>(parsed);
+    const std::string_view text(env);
+    std::size_t parsed = 0;
+    const auto [stop, error] =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (error == std::errc{} && stop == text.data() + text.size() &&
+        parsed >= 1 && parsed <= kMaxThreads) {
+      return parsed;
+    }
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
+  require(threads <= kMaxThreads, "ThreadPool: more than kMaxThreads workers");
   workers_.reserve(threads - 1);
   for (std::size_t i = 1; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

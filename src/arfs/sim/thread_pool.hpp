@@ -11,6 +11,10 @@
 // executed exactly once, but says nothing about order or placement. Callers
 // that need reproducible results must make each job self-contained (own RNG
 // stream, own output slot) — see sim::BatchRunner.
+//
+// A pool never runs more than kMaxThreads workers: thread counts come from
+// outside input (ARFS_THREADS, `arfsctl fleet --threads`), and each worker
+// beyond the caller is an OS thread.
 #pragma once
 
 #include <atomic>
@@ -25,11 +29,14 @@
 
 namespace arfs::sim {
 
+/// Upper bound on a pool's worker count, calling thread included.
+inline constexpr std::size_t kMaxThreads = 256;
+
 class ThreadPool {
  public:
   /// `threads` counts the calling thread: 1 means fully inline execution,
-  /// 0 means default_thread_count(). Workers are spawned once and live for
-  /// the pool's lifetime.
+  /// 0 means default_thread_count(). Requires threads <= kMaxThreads.
+  /// Workers are spawned once and live for the pool's lifetime.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -48,8 +55,9 @@ class ThreadPool {
   void run_chunked(std::size_t jobs, std::size_t chunk,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// `ARFS_THREADS` environment override if set and positive, else
-  /// std::thread::hardware_concurrency(), else 1.
+  /// `ARFS_THREADS` when the whole value is a decimal in [1, kMaxThreads],
+  /// else std::thread::hardware_concurrency() capped at kMaxThreads, else 1.
+  /// Any other ARFS_THREADS value ("0", "-2", "4abc", "1000000") is ignored.
   [[nodiscard]] static std::size_t default_thread_count();
 
  private:

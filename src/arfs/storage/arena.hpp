@@ -59,7 +59,7 @@ struct ArenaOptions {
 };
 
 /// Growable file-backed memory-mapped chunk allocator. Thread-safe:
-/// allocate/seal/read/release may be called from concurrent shard workers;
+/// allocate/seal/read/release may be called from concurrent fleet workers;
 /// the returned payload pointers are written lock-free by their owning
 /// worker (one region = one writer, the fleet's per-chunk slot discipline).
 class MappedArena {

@@ -156,7 +156,7 @@ bool DurabilityEngine::watermark_reached() const {
 
 void DurabilityEngine::tune_adaptive(std::uint64_t flushed_bytes) {
   // Pure fixed-point arithmetic over engine-local state: same commit
-  // history in, same watermark trajectory out, on any thread/shard count.
+  // history in, same watermark trajectory out, on any thread count.
   const SyncPolicy& p = options_.sync;
   const std::uint64_t lo = p.adaptive_min_bytes << kAdaptiveFracBits;
   const std::uint64_t hi = p.adaptive_max_bytes << kAdaptiveFracBits;

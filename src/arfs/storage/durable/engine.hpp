@@ -38,7 +38,7 @@
 // (the commit-size / sync-cost ratio, with the per-sync cost modeled as a
 // fixed byte-equivalent). The controller is pure integer arithmetic over
 // engine-local state — seeded by the policy, replayed identically on any
-// thread or shard count — so checkpoints, restores, and sweep digests stay
+// thread count — so checkpoints, restores, and sweep digests stay
 // bit-exact. During a reconfiguration the SCRAM applies *pressure*
 // (set_reconfig_pressure), which drops the effective watermark to the
 // policy's floor so directives reach stable storage with minimal lag;

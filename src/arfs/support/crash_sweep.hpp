@@ -34,7 +34,7 @@
 #include "arfs/common/ids.hpp"
 #include "arfs/common/types.hpp"
 #include "arfs/core/system.hpp"
-#include "arfs/sim/batch.hpp"
+#include "arfs/sim/fleet.hpp"
 
 namespace arfs::storage {
 class MappedArena;
@@ -186,6 +186,6 @@ struct CrashSweepReport {
 /// the factory's mission, in parallel, and verifies each recovery.
 [[nodiscard]] CrashSweepReport run_crash_sweep(
     const MissionFactory& factory, const CrashSweepOptions& options,
-    sim::BatchRunner& runner = sim::BatchRunner::shared());
+    sim::BatchRunner& runner = sim::FleetRunner::shared().batch());
 
 }  // namespace arfs::support

@@ -240,7 +240,7 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
     return mission;
   };
 
-  const sim::ShardPlan plan = fleet.plan(options.samples);
+  const sim::ChunkPlan plan = fleet.plan(options.samples);
   SystemPool pool(untraced, options.warmup_frames);
   const bool pooled = options.pool_systems;
 

@@ -13,8 +13,8 @@
 //
 // Determinism contract (inherited from sim::FleetRunner): the report —
 // including its order-sensitive FNV digest over every sample's final
-// System::digest() — is bit-identical at any thread count, any shard
-// count, pooled or not, warmed or not.
+// System::digest() — is bit-identical at any thread count, pooled or not,
+// warmed or not.
 #pragma once
 
 #include <cstdint>
@@ -185,8 +185,8 @@ struct FleetMissionReport {
   std::uint64_t deadline_violations = 0;
   /// Order-sensitive FNV-1a digest over every sample's final
   /// System::digest(), folded per chunk then across chunks in chunk order —
-  /// one number to compare any (threads, shards, pooling) execution against
-  /// the serial oracle.
+  /// one number to compare any (threads, pooling) execution against the
+  /// serial oracle.
   std::uint64_t digest = 0;
   /// Systems actually constructed: pool size when pooling, `samples` when
   /// not — the pool-reuse ablation's headline denominator.
@@ -223,7 +223,7 @@ struct MissionEvidence {
 };
 
 /// Runs `options.samples` independent missions of `factory`'s system, each
-/// under `plan_for(seed)`'s fault plan, on the sharded fleet engine.
+/// under `plan_for(seed)`'s fault plan, on the chunked fleet engine.
 /// Pooled mode leases warm systems and resets them per sample;
 /// construct-per-sample mode builds each mission from scratch and replays
 /// the warm-up prefix. Both produce bit-identical reports. Every system

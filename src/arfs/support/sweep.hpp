@@ -4,17 +4,16 @@
 // campaigns — and collects one result per mission. Missions are
 // embarrassingly parallel (each builds its own System from its own spec and
 // draws from its own RNG stream), so the sweep fans them across a
-// sim::BatchRunner. Seeding follows the batch engine's determinism contract:
-// mission i gets sim::job_seed(base_seed, i), making every result a function
-// of (base_seed, i) alone and the full result vector bit-identical at any
-// thread count.
+// sim::FleetRunner as independent jobs. Seeding follows the fleet engine's
+// determinism contract: mission i gets sim::job_seed(base_seed, i), making
+// every result a function of (base_seed, i) alone and the full result
+// vector bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "arfs/sim/batch.hpp"
 #include "arfs/sim/fleet.hpp"
 #include "arfs/support/fleet.hpp"
 
@@ -32,27 +31,14 @@ struct MissionJob {
 [[nodiscard]] std::vector<std::uint64_t> mission_seeds(std::size_t missions,
                                                        std::uint64_t base_seed);
 
-/// Runs `missions` independent missions on `runner` and returns their
+/// Runs `missions` independent missions on `fleet` and returns their
 /// results in mission order. `fly` must be self-contained: build the whole
 /// system inside the call and derive all randomness from the job's seed.
 template <typename R>
 [[nodiscard]] std::vector<R> run_mission_sweep(
     std::size_t missions, std::uint64_t base_seed,
     const std::function<R(const MissionJob&)>& fly,
-    sim::BatchRunner& runner = sim::BatchRunner::shared()) {
-  return runner.map<R>(missions, [&](std::size_t i) {
-    return fly(MissionJob{i, sim::job_seed(base_seed, i)});
-  });
-}
-
-/// Fleet path: same contract, results materialized through shard-local
-/// caches and concatenated in mission order — bit-identical to the
-/// BatchRunner sweep above for the same base_seed.
-template <typename R>
-[[nodiscard]] std::vector<R> run_mission_sweep(
-    std::size_t missions, std::uint64_t base_seed,
-    const std::function<R(const MissionJob&)>& fly,
-    sim::FleetRunner& fleet) {
+    sim::FleetRunner& fleet = sim::FleetRunner::shared()) {
   return fleet.map<R>(missions, base_seed, [&](const sim::FleetSample& s) {
     return fly(MissionJob{s.index, s.seed});
   });

@@ -11,7 +11,7 @@
 //  * sim::auto_stride — exact rounded-√n at the boundaries (0, 1, perfect
 //    squares and their neighbours);
 //  * FleetRunner::materialize / ArenaCursor — arena-backed rows fold
-//    bit-identically to the in-RAM map() at every (threads, shards) point;
+//    bit-identically to the in-RAM serial loop at every thread count;
 //  * analysis::estimate_dependability_evidence — arena-backed evidence
 //    reproduces the in-RAM estimate and digest exactly;
 //  * support::run_fleet_missions — the pooled + spill-to-arena path keeps
@@ -239,47 +239,44 @@ TEST(FleetRunner, MaterializeFoldsBitIdenticalToInRamMapEverywhere) {
   std::uint64_t oracle = 0xCBF29CE484222325ULL;
   for (std::size_t i = 0; i < samples; ++i) {
     const std::uint64_t row =
-        fn(sim::FleetSample{i, sim::job_seed(base_seed, i), 0});
+        fn(sim::FleetSample{i, sim::job_seed(base_seed, i)});
     oracle = fold(&row, 1, oracle);
   }
 
   for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t shards : {1u, 3u, 16u}) {
-      for (const bool file_backed : {false, true}) {
-        TempFile tmp(file_backed ? "arena_test_mat.arena" : "");
-        storage::ArenaOptions arena_options;
-        arena_options.path = tmp.path;
-        arena_options.slab_bytes = 1u << 16;
-        storage::MappedArena arena(arena_options);
+    for (const bool file_backed : {false, true}) {
+      TempFile tmp(file_backed ? "arena_test_mat.arena" : "");
+      storage::ArenaOptions arena_options;
+      arena_options.path = tmp.path;
+      arena_options.slab_bytes = 1u << 16;
+      storage::MappedArena arena(arena_options);
 
-        sim::FleetOptions options;
-        options.threads = threads;
-        options.shards = shards;
-        options.chunk = 64;
-        sim::FleetRunner fleet(options);
-        sim::ArenaCursor<std::uint64_t> cursor =
-            fleet.materialize<std::uint64_t>(samples, base_seed, fn, arena);
-        ASSERT_EQ(cursor.size(), samples);
+      sim::FleetOptions options;
+      options.threads = threads;
+      options.chunk = 64;
+      sim::FleetRunner fleet(options);
+      sim::ArenaCursor<std::uint64_t> cursor =
+          fleet.materialize<std::uint64_t>(samples, base_seed, fn, arena);
+      ASSERT_EQ(cursor.size(), samples);
 
-        std::uint64_t got = 0xCBF29CE484222325ULL;
-        std::size_t rows_seen = 0, expect_first = 0;
-        cursor.for_each_chunk([&](const std::uint64_t* rows, std::size_t n,
-                                  std::size_t first) {
-          EXPECT_EQ(first, expect_first);  // global chunk order
-          expect_first += 64;
-          rows_seen += n;
-          got = fold(rows, n, got);
-        });
-        EXPECT_EQ(rows_seen, samples);
-        EXPECT_EQ(got, oracle)
-            << "threads=" << threads << " shards=" << shards
-            << " file_backed=" << file_backed;
-        // The cursor released every chunk as it went.
-        EXPECT_EQ(arena.stats().regions_released,
-                  arena.stats().regions_sealed);
-        EXPECT_THROW(cursor.for_each([](std::uint64_t, std::size_t) {}),
-                     ContractViolation);  // one-shot
-      }
+      std::uint64_t got = 0xCBF29CE484222325ULL;
+      std::size_t rows_seen = 0, expect_first = 0;
+      cursor.for_each_chunk([&](const std::uint64_t* rows, std::size_t n,
+                                std::size_t first) {
+        EXPECT_EQ(first, expect_first);  // global chunk order
+        expect_first += 64;
+        rows_seen += n;
+        got = fold(rows, n, got);
+      });
+      EXPECT_EQ(rows_seen, samples);
+      EXPECT_EQ(got, oracle)
+          << "threads=" << threads << " file_backed=" << file_backed;
+      // The cursor released every chunk as it went.
+      EXPECT_EQ(arena.stats().regions_released,
+                arena.stats().regions_sealed);
+      EXPECT_THROW(cursor.for_each_chunk(
+                       [](const std::uint64_t*, std::size_t, std::size_t) {}),
+                   ContractViolation);  // one-shot
     }
   }
 }
@@ -293,7 +290,6 @@ TEST(Dependability, ArenaEvidenceReproducesInRamEstimateAndDigest) {
 
   sim::FleetOptions serial_options;
   serial_options.threads = 1;
-  serial_options.shards = 1;
   sim::FleetRunner serial(serial_options);
   Rng oracle_rng(7);
   const analysis::EvidenceSweep oracle = analysis::
@@ -304,26 +300,22 @@ TEST(Dependability, ArenaEvidenceReproducesInRamEstimateAndDigest) {
 
   TempFile tmp("arena_test_evidence.arena");
   for (const std::size_t threads : {1u, 4u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      storage::ArenaOptions arena_options;
-      arena_options.path = tmp.path;
-      storage::MappedArena arena(arena_options);
-      sim::FleetOptions options;
-      options.threads = threads;
-      options.shards = shards;
-      options.arena = &arena;
-      sim::FleetRunner fleet(options);
-      Rng rng(7);
-      const analysis::EvidenceSweep got = analysis::
-          estimate_dependability_evidence(pair.reconfig, mission, rng,
-                                          fleet);
-      EXPECT_TRUE(got.arena_backed);
-      EXPECT_EQ(got.rows, oracle.rows);
-      EXPECT_EQ(got.evidence_digest, oracle.evidence_digest)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.estimate.digest(), oracle.estimate.digest());
-      EXPECT_EQ(got.estimate.p_loss, oracle.estimate.p_loss);
-    }
+    storage::ArenaOptions arena_options;
+    arena_options.path = tmp.path;
+    storage::MappedArena arena(arena_options);
+    sim::FleetOptions options;
+    options.threads = threads;
+    options.arena = &arena;
+    sim::FleetRunner fleet(options);
+    Rng rng(7);
+    const analysis::EvidenceSweep got = analysis::
+        estimate_dependability_evidence(pair.reconfig, mission, rng, fleet);
+    EXPECT_TRUE(got.arena_backed);
+    EXPECT_EQ(got.rows, oracle.rows);
+    EXPECT_EQ(got.evidence_digest, oracle.evidence_digest)
+        << "threads=" << threads;
+    EXPECT_EQ(got.estimate.digest(), oracle.estimate.digest());
+    EXPECT_EQ(got.estimate.p_loss, oracle.estimate.p_loss);
   }
 }
 
@@ -366,10 +358,9 @@ TEST(FleetMissions, SpilledPoolKeepsOneDigestWithTheNoArenaOracle) {
   const PlanFactory plans =
       chain_plans(options.warmup_frames, options.frames);
 
-  // Oracle: pooled, no arena, 1 thread / 1 shard.
+  // Oracle: pooled, no arena, 1 thread.
   sim::FleetOptions serial_options;
   serial_options.threads = 1;
-  serial_options.shards = 1;
   serial_options.chunk = 4;
   sim::FleetRunner serial(serial_options);
   options.pool_systems = true;
@@ -385,7 +376,6 @@ TEST(FleetMissions, SpilledPoolKeepsOneDigestWithTheNoArenaOracle) {
     storage::MappedArena arena(arena_options);
     sim::FleetOptions fleet_options;
     fleet_options.threads = threads;
-    fleet_options.shards = 2;
     fleet_options.chunk = 4;
     fleet_options.arena = &arena;
     sim::FleetRunner fleet(fleet_options);

@@ -140,14 +140,14 @@ TEST(AvionicsSweepParallel, MatrixIdenticalSerialVsParallel) {
         return fly_campaign(params[job.index]);
       };
 
-  sim::BatchRunner serial{sim::BatchOptions{1, 0}};
+  sim::FleetRunner serial{sim::FleetOptions{1}};
   const std::vector<std::string> reference =
       support::run_mission_sweep<std::string>(params.size(), 0, fly, serial);
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(reference[i].substr(0, 5), "holds") << params[i];
   }
 
-  sim::BatchRunner parallel{sim::BatchOptions{4, 0}};
+  sim::FleetRunner parallel{sim::FleetOptions{4}};
   EXPECT_EQ(support::run_mission_sweep<std::string>(params.size(), 0, fly,
                                                     parallel),
             reference);

@@ -1,7 +1,8 @@
 // BatchRunner / ThreadPool contract tests. These run under ThreadSanitizer
 // in the ARFS_SANITIZE=thread build (ctest label "batch"), so they
 // deliberately exercise contended paths: many jobs, small chunks, pools
-// reused across batches, exceptions racing normal completions.
+// reused across batches, exceptions racing normal completions. They also
+// pin the thread-count cap that bounds what outside input can ask for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "arfs/analysis/dependability.hpp"
+#include "arfs/common/check.hpp"
 #include "arfs/sim/batch.hpp"
+#include "arfs/sim/fleet.hpp"
 #include "arfs/sim/thread_pool.hpp"
 
 namespace arfs::sim {
@@ -82,7 +85,7 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 }
 
 TEST(BatchRunner, ExceptionPropagates) {
-  BatchRunner runner{BatchOptions{4, 1}};
+  BatchRunner runner{BatchOptions{4}};
   EXPECT_THROW(
       runner.run(64,
                  [](std::size_t i) {
@@ -97,7 +100,7 @@ TEST(BatchRunner, ExceptionPropagates) {
 
 TEST(BatchRunner, ExceptionFromCallingThreadChunkPropagates) {
   // With a single-thread runner every chunk runs inline on the caller.
-  BatchRunner runner{BatchOptions{1, 1}};
+  BatchRunner runner{BatchOptions{1}};
   EXPECT_THROW(runner.run(4,
                           [](std::size_t i) {
                             if (i == 0) throw std::logic_error("inline");
@@ -107,7 +110,7 @@ TEST(BatchRunner, ExceptionFromCallingThreadChunkPropagates) {
 
 TEST(BatchRunner, MapReturnsResultsInJobOrder) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    BatchRunner runner{BatchOptions{threads, 2}};
+    BatchRunner runner{BatchOptions{threads}};
     const std::vector<std::string> out = runner.map<std::string>(
         25, [](std::size_t i) { return "job" + std::to_string(i); });
     ASSERT_EQ(out.size(), 25u);
@@ -118,7 +121,7 @@ TEST(BatchRunner, MapReturnsResultsInJobOrder) {
 }
 
 TEST(BatchRunner, EmptyJobListIsNoOp) {
-  BatchRunner runner{BatchOptions{4, 0}};
+  BatchRunner runner{BatchOptions{4}};
   runner.run(0, [](std::size_t) { FAIL() << "no job should run"; });
   EXPECT_TRUE(
       runner.map<int>(0, [](std::size_t) { return 1; }).empty());
@@ -133,22 +136,51 @@ TEST(BatchRunner, ThreadsEnvOverrideAppliesToDefault) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
 }
 
-// The flagship determinism property, exercised at the batch level here and
-// again (against more consumers) in determinism_test.cpp: the dependability
-// estimate is bit-identical at 1, 2, and 8 threads.
+// ARFS_THREADS counts only as a whole decimal in [1, kMaxThreads]; any
+// other value falls back to the hardware default. The check reads the
+// count only — no pool is built from the rejected values.
+TEST(ThreadPool, DefaultThreadCountIgnoresMalformedOrOversizedEnv) {
+  ASSERT_EQ(unsetenv("ARFS_THREADS"), 0);
+  const std::size_t fallback = ThreadPool::default_thread_count();
+  EXPECT_GE(fallback, 1u);
+  EXPECT_LE(fallback, kMaxThreads);
+  for (const char* bad : {"1000000", "257", "4abc", " 4", "+4", "-3", "0",
+                          ""}) {
+    ASSERT_EQ(setenv("ARFS_THREADS", bad, /*overwrite=*/1), 0);
+    EXPECT_EQ(ThreadPool::default_thread_count(), fallback)
+        << "ARFS_THREADS=\"" << bad << "\"";
+  }
+  for (const char* good : {"1", "7", "256"}) {
+    ASSERT_EQ(setenv("ARFS_THREADS", good, /*overwrite=*/1), 0);
+    EXPECT_EQ(ThreadPool::default_thread_count(),
+              static_cast<std::size_t>(std::atoi(good)));
+  }
+  ASSERT_EQ(unsetenv("ARFS_THREADS"), 0);
+}
+
+TEST(ThreadPool, RejectsMoreThanMaxThreadsBeforeSpawningAny) {
+  EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), ContractViolation);
+  EXPECT_THROW(BatchRunner runner{BatchOptions{kMaxThreads + 1}},
+               ContractViolation);
+}
+
+// The flagship determinism property, exercised on the engine's own pool
+// here and again (against more consumers) in determinism_test.cpp and
+// fleet_test.cpp: the dependability estimate is bit-identical at 1, 2, and
+// 8 threads.
 TEST(BatchRunner, DependabilityBitIdenticalAcrossThreadCounts) {
   const analysis::DesignUnits design{4, 3, 2};
   analysis::MissionParams mission;
   mission.failure_rate_per_hour = 0.05;
   mission.trials = 20'000;
 
-  BatchRunner serial{BatchOptions{1, 0}};
+  FleetRunner serial{FleetOptions{1}};
   Rng rng_serial(314);
   const analysis::DependabilityEstimate reference =
       analysis::estimate_dependability(design, mission, rng_serial, serial);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    BatchRunner parallel{BatchOptions{threads, 0}};
+    FleetRunner parallel{FleetOptions{threads}};
     Rng rng(314);
     const analysis::DependabilityEstimate got =
         analysis::estimate_dependability(design, mission, rng, parallel);

@@ -84,7 +84,7 @@ TEST(Determinism, AvionicsStackByteIdentical) {
   EXPECT_EQ(run_avionics(), run_avionics());
 }
 
-// The parallel batch engine's promise: results are bit-identical at any
+// The parallel fleet engine's promise: results are bit-identical at any
 // thread count. Verified here at 1, 2, and 8 threads for the Monte-Carlo
 // dependability estimate (20k trials, the paper's section 5.1 workload).
 TEST(Determinism, DependabilityBitIdenticalAt1_2_8Threads) {
@@ -94,9 +94,9 @@ TEST(Determinism, DependabilityBitIdenticalAt1_2_8Threads) {
   mission.trials = 20'000;
 
   auto estimate = [&](std::size_t threads) {
-    sim::BatchRunner runner{sim::BatchOptions{threads, 0}};
+    sim::FleetRunner fleet{sim::FleetOptions{threads}};
     Rng rng(271828);
-    return analysis::estimate_dependability(design, mission, rng, runner);
+    return analysis::estimate_dependability(design, mission, rng, fleet);
   };
 
   const analysis::DependabilityEstimate e1 = estimate(1);
@@ -121,7 +121,7 @@ TEST(Determinism, MissionSweepBitIdenticalAcrossThreadCounts) {
   const std::function<std::string(const support::MissionJob&)> fly =
       [](const support::MissionJob& job) { return run_synthetic(job.seed); };
 
-  sim::BatchRunner serial{sim::BatchOptions{1, 0}};
+  sim::FleetRunner serial{sim::FleetOptions{1}};
   const std::vector<std::string> reference =
       support::run_mission_sweep<std::string>(kMissions, kBase, fly, serial);
 
@@ -132,7 +132,7 @@ TEST(Determinism, MissionSweepBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(run_synthetic(seeds[3]), reference[3]);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    sim::BatchRunner parallel{sim::BatchOptions{threads, 0}};
+    sim::FleetRunner parallel{sim::FleetOptions{threads}};
     EXPECT_EQ(support::run_mission_sweep<std::string>(kMissions, kBase, fly,
                                                       parallel),
               reference)

@@ -1,21 +1,19 @@
 // The fleet engine's determinism contract, end to end.
 //
 // Contracts under test:
-//  * sim::auto_stride and ShardPlan — the explicit sharding info: balanced
-//    contiguous chunk ranges, exact inverses, clamped auto-tune;
+//  * sim::auto_stride and ChunkPlan — the chunk arithmetic: fixed-size
+//    chunks tiling the samples in order, a partial tail, no empty chunk;
 //  * FleetRunner::reduce / map are bit-identical to the serial chunk loop
-//    at every (threads, shards) point — sharding moves accumulator
-//    locality, never results;
-//  * analysis::estimate_dependability on the fleet path equals the
-//    BatchRunner oracle exactly (all six fields and the digest) at every
-//    (threads, shards) point;
-//  * analysis::check_coverage / certify on the fleet path reproduce the
-//    serial reports;
+//    at every thread count;
+//  * analysis::estimate_dependability equals the retired serial engine's
+//    estimates, pinned as digest literals, at every thread count;
+//  * analysis::check_coverage / certify reproduce the 1-thread reports at
+//    any thread count and on the shared engine;
 //  * support::run_fleet_missions — chain and §7 avionics missions — has one
-//    digest across {threads} × {shards} × {pooled, construct-per-sample},
-//    equal to the 1-thread/1-shard/no-pool serial oracle; its samples run
-//    untraced, and its digest is the same whether the factory's systems
-//    record a trace or not;
+//    digest across {threads} × {pooled, construct-per-sample}, equal to the
+//    1-thread/no-pool serial oracle; its samples run untraced, and its
+//    digest is the same whether the factory's systems record a trace or
+//    not;
 //  * PooledMission's checkpoint ladder rewinds exactly: reset_to(f) is
 //    bit-identical to a fresh build run f frames.
 #include <gtest/gtest.h>
@@ -30,6 +28,7 @@
 #include "arfs/analysis/coverage.hpp"
 #include "arfs/analysis/dependability.hpp"
 #include "arfs/avionics/uav_system.hpp"
+#include "arfs/common/check.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/sim/fleet.hpp"
 #include "arfs/support/fleet.hpp"
@@ -53,52 +52,36 @@ TEST(AutoStride, RoundedIntegerSquareRoot) {
   EXPECT_EQ(sim::auto_stride(10'000), 100u);
 }
 
-TEST(ShardPlan, PartitionsChunksContiguouslyAndBalanced) {
-  // 10'000 samples at chunk 1024 → 10 chunks; explicit 3 shards.
-  const sim::ShardPlan p = sim::ShardPlan::make(10'000, 1024, 3);
+TEST(ChunkPlan, SplitsSamplesIntoFixedSizeChunks) {
+  // 10'000 samples at chunk 1024 → 10 chunks.
+  const sim::ChunkPlan p = sim::ChunkPlan::make(10'000, 1024);
   EXPECT_EQ(p.samples(), 10'000u);
   EXPECT_EQ(p.chunk(), 1024u);
   EXPECT_EQ(p.chunks(), 10u);
-  EXPECT_EQ(p.shards(), 3u);
 
-  // Shard ranges tile [0, chunks) in order with sizes differing by <= 1,
-  // and shard_of_chunk is the exact inverse.
+  // Chunk ranges tile [0, samples) in order: full chunks except the last
+  // (10'000 = 9·1024 + 784).
   std::size_t next = 0;
-  std::size_t min_size = p.chunks(), max_size = 0;
-  for (std::size_t s = 0; s < p.shards(); ++s) {
-    const sim::ShardPlan::Range r = p.chunks_of_shard(s);
+  for (std::size_t c = 0; c < p.chunks(); ++c) {
+    const sim::ChunkPlan::Range r = p.samples_of_chunk(c);
     EXPECT_EQ(r.first, next);
-    EXPECT_GT(r.size(), 0u);
-    min_size = std::min(min_size, r.size());
-    max_size = std::max(max_size, r.size());
-    for (std::size_t c = r.first; c < r.end; ++c) {
-      EXPECT_EQ(p.shard_of_chunk(c), s);
-    }
+    EXPECT_EQ(r.size(), c + 1 < p.chunks() ? 1024u : 10'000u - 9u * 1024u);
     next = r.end;
   }
-  EXPECT_EQ(next, p.chunks());
-  EXPECT_LE(max_size - min_size, 1u);
-
-  // Sample ranges: full chunks except the last (10'000 = 9·1024 + 784).
-  EXPECT_EQ(p.samples_of_chunk(0).first, 0u);
-  EXPECT_EQ(p.samples_of_chunk(0).size(), 1024u);
-  EXPECT_EQ(p.samples_of_chunk(9).end, 10'000u);
-  EXPECT_EQ(p.samples_of_chunk(9).size(), 10'000u - 9u * 1024u);
+  EXPECT_EQ(next, p.samples());
+  EXPECT_THROW((void)p.samples_of_chunk(10), ContractViolation);
 }
 
-TEST(ShardPlan, ClampsShardRequestAndAutoTunes) {
-  // Never more shards than chunks...
-  EXPECT_EQ(sim::ShardPlan::make(4 * 1024, 1024, 50).shards(), 4u);
-  // ...never zero, even for an empty run...
-  EXPECT_EQ(sim::ShardPlan::make(0, 1024, 0).shards(), 1u);
-  EXPECT_EQ(sim::ShardPlan::make(0, 1024, 0).chunks(), 0u);
-  // ...and 0 auto-tunes to ~√chunks (100 chunks → 10 shards).
-  EXPECT_EQ(sim::ShardPlan::make(100 * 1024, 1024, 0).shards(), 10u);
+TEST(ChunkPlan, EmptyRunHasNoChunksAndZeroGrainIsRejected) {
+  EXPECT_EQ(sim::ChunkPlan::make(0, 1024).chunks(), 0u);
+  EXPECT_EQ(sim::ChunkPlan::make(1, 1024).chunks(), 1u);
+  EXPECT_EQ(sim::ChunkPlan::make(4 * 1024, 1024).chunks(), 4u);
+  EXPECT_THROW((void)sim::ChunkPlan::make(10, 0), ContractViolation);
 }
 
-/// reduce() must equal the serial chunk loop bit for bit at every
-/// (threads, shards) point — including a partial final chunk.
-TEST(FleetRunner, ReduceMatchesSerialChunkLoopAtAnyThreadAndShardCount) {
+/// reduce() must equal the serial chunk loop bit for bit at every thread
+/// count — including a partial final chunk.
+TEST(FleetRunner, ReduceMatchesSerialChunkLoopAtAnyThreadCount) {
   struct Acc {
     double sum = 0.0;
     std::uint64_t mix = 0xCBF29CE484222325ULL;
@@ -122,33 +105,27 @@ TEST(FleetRunner, ReduceMatchesSerialChunkLoopAtAnyThreadAndShardCount) {
     Acc chunk;
     const std::size_t end = std::min(first + 64, samples);
     for (std::size_t i = first; i < end; ++i) {
-      consume(sim::FleetSample{i, sim::job_seed(base_seed, i), 0}, chunk);
+      consume(sim::FleetSample{i, sim::job_seed(base_seed, i)}, chunk);
     }
     fold(oracle, chunk);
   }
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t shards : {1u, 4u, 16u}) {
-      sim::FleetOptions options;
-      options.threads = threads;
-      options.shards = shards;
-      options.chunk = 64;
-      sim::FleetRunner fleet(options);
-      const Acc got = fleet.reduce<Acc>(samples, base_seed, consume, fold);
-      EXPECT_EQ(got.sum, oracle.sum)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.mix, oracle.mix)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    sim::FleetOptions options;
+    options.threads = threads;
+    options.chunk = 64;
+    sim::FleetRunner fleet(options);
+    const Acc got = fleet.reduce<Acc>(samples, base_seed, consume, fold);
+    EXPECT_EQ(got.sum, oracle.sum) << "threads=" << threads;
+    EXPECT_EQ(got.mix, oracle.mix) << "threads=" << threads;
   }
 }
 
-/// map() materializes job results in job order regardless of sharding.
+/// map() materializes job results in job order at any thread count.
 TEST(FleetRunner, MapPreservesJobOrder) {
-  for (const std::size_t shards : {1u, 3u, 16u}) {
+  for (const std::size_t threads : {1u, 4u}) {
     sim::FleetOptions options;
-    options.threads = 4;
-    options.shards = shards;
+    options.threads = threads;
     sim::FleetRunner fleet(options);
     const std::vector<std::uint64_t> out = fleet.map<std::uint64_t>(
         23, /*base_seed=*/5,
@@ -160,82 +137,88 @@ TEST(FleetRunner, MapPreservesJobOrder) {
   }
 }
 
-TEST(Dependability, FleetEstimateEqualsBatchOracleAtEveryThreadShardPoint) {
+/// Digests of the retired serial dependability engine (one thread, trials
+/// in 1024-trial chunks folded in order), recorded before it was deleted.
+/// The fleet engine at its default chunk must keep reproducing them.
+struct PinnedEstimate {
+  analysis::DesignUnits design;
+  double rate = 0.0;
+  std::uint32_t trials = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t digest = 0;
+};
+
+TEST(Dependability, FleetEstimateEqualsPinnedSerialOracleAtEveryThreadCount) {
   const analysis::DesignPair pair = analysis::section51_designs(4, 2, 2);
-  analysis::MissionParams mission;
-  mission.mission_hours = 10.0;
-  mission.failure_rate_per_hour = 0.05;
-  mission.trials = 5'000;  // ~5 chunks at kFleetChunk, partial tail
-
-  Rng oracle_rng(7);
-  sim::BatchRunner serial{sim::BatchOptions{1, 0}};
-  const analysis::DependabilityEstimate oracle =
-      analysis::estimate_dependability(pair.reconfig, mission, oracle_rng,
-                                       serial);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t shards : {1u, 4u, 16u}) {
+  const PinnedEstimate pinned[] = {
+      {{4, 3, 2}, 0.05, 20'000, 314, 0x9e2f2d0b92d29829ULL},
+      {{6, 4, 2}, 0.02, 20'000, 271828, 0x25e727254d5144eeULL},
+      {pair.reconfig, 0.05, 5'000, 7, 0xb499ac3f04e72d4cULL},  // partial tail
+      {pair.masking, 0.05, 5'000, 7, 0xd42bb4cb69bd1719ULL},
+  };
+  for (const PinnedEstimate& p : pinned) {
+    analysis::MissionParams mission;
+    mission.mission_hours = 10.0;
+    mission.failure_rate_per_hour = p.rate;
+    mission.trials = p.trials;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
       sim::FleetOptions options;
       options.threads = threads;
-      options.shards = shards;
       sim::FleetRunner fleet(options);
-      Rng rng(7);  // same caller seed → same base_seed
-      const analysis::DependabilityEstimate got =
-          analysis::estimate_dependability(pair.reconfig, mission, rng,
-                                           fleet);
-      // Exact equality, field by field — not near-equality: the fleet path
-      // must reproduce the oracle's floating-point addition sequence.
-      EXPECT_EQ(got.p_full_whole_mission, oracle.p_full_whole_mission);
-      EXPECT_EQ(got.p_safe_whole_mission, oracle.p_safe_whole_mission);
-      EXPECT_EQ(got.p_loss, oracle.p_loss);
-      EXPECT_EQ(got.full_service_fraction, oracle.full_service_fraction);
-      EXPECT_EQ(got.safe_or_better_fraction, oracle.safe_or_better_fraction);
-      EXPECT_EQ(got.mean_failures, oracle.mean_failures);
-      EXPECT_EQ(got.digest(), oracle.digest())
-          << "threads=" << threads << " shards=" << shards;
+      Rng rng(p.seed);
+      // Exact equality of all six fields' bit patterns: the fleet path must
+      // reproduce the serial floating-point addition sequence.
+      EXPECT_EQ(analysis::estimate_dependability(p.design, mission, rng,
+                                                 fleet)
+                    .digest(),
+                p.digest)
+          << "design {" << p.design.total << "," << p.design.full << ","
+          << p.design.safe << "} seed " << p.seed << " threads=" << threads;
     }
   }
 }
 
 TEST(Coverage, FleetSweepReproducesSerialReport) {
   const core::ReconfigSpec spec = make_chain_spec({});
-  const analysis::CoverageReport serial =
-      analysis::check_coverage(spec, /*keep_discharged=*/true);
+  sim::FleetRunner serial_fleet{sim::FleetOptions{1}};
+  const analysis::CoverageReport serial = analysis::check_coverage(
+      spec, /*keep_discharged=*/true, /*env_limit=*/1u << 20, serial_fleet);
 
-  sim::FleetOptions options;
-  options.threads = 4;
-  options.shards = 2;
-  sim::FleetRunner fleet(options);
-  const analysis::CoverageReport fleet_report =
-      analysis::check_coverage(spec, /*keep_discharged=*/true,
-                               /*env_limit=*/1u << 20, fleet);
-
-  EXPECT_EQ(fleet_report.generated, serial.generated);
-  EXPECT_EQ(fleet_report.discharged, serial.discharged);
-  ASSERT_EQ(fleet_report.obligations.size(), serial.obligations.size());
-  for (std::size_t i = 0; i < serial.obligations.size(); ++i) {
-    EXPECT_EQ(fleet_report.obligations[i].description,
-              serial.obligations[i].description);
-    EXPECT_EQ(fleet_report.obligations[i].discharged,
-              serial.obligations[i].discharged);
+  sim::FleetRunner fleet{sim::FleetOptions{4}};
+  for (const analysis::CoverageReport& fleet_report :
+       {analysis::check_coverage(spec, /*keep_discharged=*/true,
+                                 /*env_limit=*/1u << 20, fleet),
+        analysis::check_coverage(spec, /*keep_discharged=*/true)}) {
+    EXPECT_EQ(fleet_report.generated, serial.generated);
+    EXPECT_EQ(fleet_report.discharged, serial.discharged);
+    ASSERT_EQ(fleet_report.obligations.size(), serial.obligations.size());
+    for (std::size_t i = 0; i < serial.obligations.size(); ++i) {
+      EXPECT_EQ(fleet_report.obligations[i].description,
+                serial.obligations[i].description);
+      EXPECT_EQ(fleet_report.obligations[i].discharged,
+                serial.obligations[i].discharged);
+    }
   }
 }
 
 TEST(Certify, FleetPathRendersIdenticalReport) {
   const core::ReconfigSpec spec = make_chain_spec({});
-  const analysis::CertificationReport serial = analysis::certify(spec);
+  sim::FleetRunner serial_fleet{sim::FleetOptions{1}};
+  analysis::CertifyOptions serial_options;
+  serial_options.fleet = &serial_fleet;
+  const analysis::CertificationReport serial =
+      analysis::certify(spec, serial_options);
 
-  sim::FleetOptions fleet_options;
-  fleet_options.threads = 4;
-  fleet_options.shards = 3;
-  sim::FleetRunner fleet(fleet_options);
+  sim::FleetRunner fleet{sim::FleetOptions{4}};
   analysis::CertifyOptions options;
   options.fleet = &fleet;
   const analysis::CertificationReport via_fleet =
       analysis::certify(spec, options);
+  const analysis::CertificationReport via_shared = analysis::certify(spec);
 
   EXPECT_EQ(via_fleet.certified(), serial.certified());
   EXPECT_EQ(analysis::render_json(via_fleet), analysis::render_json(serial));
+  EXPECT_EQ(analysis::render_json(via_shared), analysis::render_json(serial));
 }
 
 /// Chain-spec mission without a baked fault plan — fleet samples get their
@@ -299,16 +282,15 @@ PlanFactory env_plans_for(const core::ReconfigSpec& spec, Cycle warmup,
   return make_env_plan_factory(std::move(params));
 }
 
-/// One digest across {threads} × {shards} × {pooled, construct}, equal to
-/// the 1-thread / 1-shard / no-pool serial oracle.
+/// One digest across {threads} × {pooled, construct}, equal to the
+/// 1-thread / no-pool serial oracle.
 void expect_fleet_digest_invariant(const MissionFactory& factory,
                                    const PlanFactory& plans,
                                    FleetMissionOptions options,
                                    std::size_t chunk) {
-  // Serial oracle: one thread, one shard, construct-per-sample.
+  // Serial oracle: one thread, construct-per-sample.
   sim::FleetOptions serial_options;
   serial_options.threads = 1;
-  serial_options.shards = 1;
   serial_options.chunk = chunk;
   sim::FleetRunner serial(serial_options);
   options.pool_systems = false;
@@ -320,35 +302,31 @@ void expect_fleet_digest_invariant(const MissionFactory& factory,
   EXPECT_EQ(oracle.pool_resets, 0u);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t shards : {1u, 4u, 16u}) {
-      for (const bool pooled : {true, false}) {
-        sim::FleetOptions fleet_options;
-        fleet_options.threads = threads;
-        fleet_options.shards = shards;
-        fleet_options.chunk = chunk;
-        sim::FleetRunner fleet(fleet_options);
-        options.pool_systems = pooled;
-        const FleetMissionReport got =
-            run_fleet_missions(factory, plans, options, fleet);
-        EXPECT_EQ(got.digest, oracle.digest)
-            << "threads=" << threads << " shards=" << shards
-            << " pooled=" << pooled;
-        EXPECT_EQ(got.fault_events, oracle.fault_events);
-        EXPECT_EQ(got.reconfigurations, oracle.reconfigurations);
-        EXPECT_EQ(got.frames_run, oracle.frames_run);
-        if (pooled) {
-          EXPECT_EQ(got.pool_resets, options.samples);
-          // The pool grows to at most the active lanes, never per sample.
-          EXPECT_LE(got.systems_constructed, got.pool_resets);
-        } else {
-          EXPECT_EQ(got.systems_constructed, options.samples);
-        }
+    for (const bool pooled : {true, false}) {
+      sim::FleetOptions fleet_options;
+      fleet_options.threads = threads;
+      fleet_options.chunk = chunk;
+      sim::FleetRunner fleet(fleet_options);
+      options.pool_systems = pooled;
+      const FleetMissionReport got =
+          run_fleet_missions(factory, plans, options, fleet);
+      EXPECT_EQ(got.digest, oracle.digest)
+          << "threads=" << threads << " pooled=" << pooled;
+      EXPECT_EQ(got.fault_events, oracle.fault_events);
+      EXPECT_EQ(got.reconfigurations, oracle.reconfigurations);
+      EXPECT_EQ(got.frames_run, oracle.frames_run);
+      if (pooled) {
+        EXPECT_EQ(got.pool_resets, options.samples);
+        // The pool grows to at most the active lanes, never per sample.
+        EXPECT_LE(got.systems_constructed, got.pool_resets);
+      } else {
+        EXPECT_EQ(got.systems_constructed, options.samples);
       }
     }
   }
 }
 
-TEST(FleetMissions, ChainDigestInvariantAcrossThreadsShardsAndPooling) {
+TEST(FleetMissions, ChainDigestInvariantAcrossThreadsAndPooling) {
   const MissionFactory factory = fleet_chain_factory();
   const core::ReconfigSpec spec = make_chain_spec({});
   FleetMissionOptions options;
@@ -362,7 +340,7 @@ TEST(FleetMissions, ChainDigestInvariantAcrossThreadsShardsAndPooling) {
       options, /*chunk=*/4);
 }
 
-TEST(FleetMissions, AvionicsDigestInvariantAcrossThreadsShardsAndPooling) {
+TEST(FleetMissions, AvionicsDigestInvariantAcrossThreadsAndPooling) {
   const MissionFactory factory = fleet_uav_factory();
   avionics::UavSpecOptions spec_options;
   spec_options.dwell_frames = 10;
@@ -539,18 +517,23 @@ TEST(Fleet, SamplesRunUntraced) {
   }
 }
 
-TEST(Sweep, FleetOverloadMatchesBatchRunnerSweep) {
+TEST(Sweep, ResultsFollowMissionSeedsAtAnyThreadCount) {
   const std::function<std::uint64_t(const MissionJob&)> fly =
       [](const MissionJob& job) { return job.seed * 31 + job.index; };
-  const std::vector<std::uint64_t> batch =
-      run_mission_sweep<std::uint64_t>(17, /*base_seed=*/9, fly);
-  sim::FleetOptions options;
-  options.threads = 4;
-  options.shards = 3;
-  sim::FleetRunner fleet(options);
-  const std::vector<std::uint64_t> via_fleet =
-      run_mission_sweep<std::uint64_t>(17, /*base_seed=*/9, fly, fleet);
-  EXPECT_EQ(via_fleet, batch);
+  const std::vector<std::uint64_t> seeds = mission_seeds(17, /*base_seed=*/9);
+  std::vector<std::uint64_t> expected;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    expected.push_back(seeds[i] * 31 + i);
+  }
+  EXPECT_EQ(run_mission_sweep<std::uint64_t>(17, /*base_seed=*/9, fly),
+            expected);  // the shared engine
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::FleetRunner fleet{sim::FleetOptions{threads}};
+    EXPECT_EQ(
+        run_mission_sweep<std::uint64_t>(17, /*base_seed=*/9, fly, fleet),
+        expected)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Sweep, PooledOverloadMatchesConstructPerMissionSweep) {

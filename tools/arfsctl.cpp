@@ -18,15 +18,15 @@
 //                                           counters (journal, snapshots,
 //                                           cache, adaptive watermark)
 //   arfsctl fleet <spec> [--samples N] [--frames F] [--warmup W]
-//                 [--shards S] [--threads T] [--no-pool] [--json [path]]
+//                 [--threads T] [--no-pool] [--json [path]]
 //                                           fleet-scale Monte-Carlo mission
 //                                           sweep: N independent missions of
 //                                           the spec's system under seeded
 //                                           environment campaigns, streamed
-//                                           through the sharded fleet engine
+//                                           through the chunked fleet engine
 //                                           with checkpoint-seeded system
-//                                           pools (digest is thread- and
-//                                           shard-count invariant)
+//                                           pools (digest is thread-count
+//                                           invariant; T <= 256)
 //   arfsctl economics <full> <safe> <fail>  section 5.1 component counts
 //   arfsctl journal dump <file>             pretty-print a write-ahead
 //                                           journal's records
@@ -147,7 +147,7 @@ int usage() {
          "  quorum   <demo|status> [spec=chain] [--replicas N] [--frames F]\n"
          "           [--kill K]\n"
          "  fleet    <spec> [--samples N] [--frames F] [--warmup W]\n"
-         "           [--shards S] [--threads T] [--seed B] [--no-pool]\n"
+         "           [--threads T<=256] [--seed B] [--no-pool]\n"
          "           [--arena PATH] [--pool-hot N] [--json [path]]\n"
          "  serve    [spec=chain] [--sessions N] [--frames F] [--warmup W]\n"
          "           [--transport shm|socket] [--slots N] [--seed B]\n"
@@ -1005,7 +1005,6 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
   }
 
   sim::FleetRunner fleet(engine_options);
-  const sim::ShardPlan plan = fleet.plan(mission_options.samples);
   const support::FleetMissionReport report = support::run_fleet_missions(
       fleet_mission_factory(spec_name),
       support::make_env_plan_factory(std::move(params)), mission_options,
@@ -1017,7 +1016,6 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
          << report.samples << ", \"frames\": " << mission_options.frames
          << ", \"warmup\": " << mission_options.warmup_frames
          << ", \"threads\": " << fleet.thread_count()
-         << ", \"shards\": " << plan.shards()
          << ", \"pooled\": "
          << (mission_options.pool_systems ? "true" : "false")
          << ", \"fault_events\": " << report.fault_events
@@ -1051,8 +1049,7 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
     std::cout << "fleet sweep: " << spec_name << ", " << report.samples
               << " missions x " << mission_options.frames << " frames (+"
               << mission_options.warmup_frames << " warm-up), "
-              << fleet.thread_count() << " threads, " << plan.shards()
-              << " shards\n"
+              << fleet.thread_count() << " threads\n"
               << (mission_options.pool_systems
                       ? "checkpoint-seeded pool: "
                       : "construct-per-sample: ")
@@ -1430,10 +1427,11 @@ int main(int argc, char** argv) {
           if (!parse_number(argv[++i], options.frames)) return usage();
         } else if (arg == "--warmup" && i + 1 < argc) {
           if (!parse_number(argv[++i], options.warmup_frames)) return usage();
-        } else if (arg == "--shards" && i + 1 < argc) {
-          if (!parse_number(argv[++i], engine.shards)) return usage();
         } else if (arg == "--threads" && i + 1 < argc) {
-          if (!parse_number(argv[++i], engine.threads)) return usage();
+          if (!parse_number(argv[++i], engine.threads) ||
+              engine.threads > sim::kMaxThreads) {
+            return usage();
+          }
         } else if (arg == "--seed" && i + 1 < argc) {
           if (!parse_number(argv[++i], options.base_seed)) return usage();
         } else if (arg == "--no-pool") {
